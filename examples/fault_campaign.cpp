@@ -13,8 +13,9 @@
 // with the FULL collapsed fault list per design (no sampling — the PPSFP
 // bit-parallel engine with fault dropping is what makes that interactive)
 // and exits non-zero unless every design's scan coverage strictly exceeds
-// its no-scan coverage and every population was simulated whole — the
-// acceptance gate scripts/check.sh runs.
+// its no-scan coverage, every population was simulated whole and no
+// fault left the bit-parallel path (ppsfp_fallback_faults is 0 in all
+// ten campaigns) — the acceptance gate scripts/check.sh runs.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -23,18 +24,38 @@
 #include "fault/campaign.hpp"
 #include "fault/seu.hpp"
 #include "flow/synthesis_flow.hpp"
+#include "obs/registry.hpp"
 #include "rtl/src_design.hpp"
 
 namespace {
+
+// Registry slugs of the Fig. 10 designs.
+constexpr const char* kSlugs[] = {"vhdl_ref", "beh_unopt", "beh_opt", "rtl_unopt",
+                                  "rtl_opt"};
 
 int run_check() {
   scflow::flow::FaultOptions fopt;
   fopt.run = true;
   fopt.campaign.max_faults = 0;  // the full collapsed list, every design
   fopt.campaign.engine = scflow::fault::CampaignOptions::Engine::kPpsfp;
-  const auto rows = scflow::flow::figure10_area_rows(nullptr, {}, fopt);
+  scflow::obs::Registry reg;
+  const auto rows = scflow::flow::figure10_area_rows(&reg, {}, fopt);
   std::printf("%s", scflow::flow::format_fault_table(rows).c_str());
   bool ok = true;
+  for (const char* slug : kSlugs) {
+    for (const char* variant : {"scan", "noscan"}) {
+      const std::string key =
+          std::string("fault.") + slug + "." + variant + ".ppsfp_fallback_faults";
+      if (!reg.has_counter(key)) {
+        std::printf("FAIL: %s missing\n", key.c_str());
+        ok = false;
+      } else if (reg.counter(key) != 0) {
+        std::printf("FAIL: %s = %llu (every fault must ride the bit-parallel path)\n",
+                    key.c_str(), static_cast<unsigned long long>(reg.counter(key)));
+        ok = false;
+      }
+    }
+  }
   for (const auto& r : rows) {
     if (r.scan_coverage_pct <= r.noscan_coverage_pct) {
       std::printf("FAIL: %s scan coverage %.1f%% does not exceed no-scan %.1f%%\n",
@@ -48,8 +69,8 @@ int run_check() {
       ok = false;
     }
   }
-  std::printf("\nfull fault lists, scan strictly improves coverage on all %zu designs: "
-              "%s\n",
+  std::printf("\nfull fault lists, no event-driven fallback, scan strictly improves "
+              "coverage on all %zu designs: %s\n",
               rows.size(), ok ? "yes" : "NO");
   return ok ? 0 : 1;
 }

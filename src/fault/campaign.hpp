@@ -79,11 +79,12 @@ struct CampaignOptions {
   hdlsim::Backend reference_backend = hdlsim::Backend::kInterpreted;
   /// Faulty-machine engine.  kPpsfp batches up to 64 faults per compiled
   /// bit-parallel run (one stuck-at overlay lane each, dropped at first
-  /// detection); faults the two-state screen can't prove exact — X/
-  /// oscillation-sensitive programs, macro bus nets, x_initial_flops,
-  /// cyclic netlists — fall back to the event-driven overlay per fault,
-  /// so classifications are bit-identical with kEventDriven either way
-  /// (the differential harness in tests/test_ppsfp.cpp holds this).
+  /// detection), RAM/ROM bus faults included.  Programs the two-state
+  /// screen can't prove exact — X/oscillation-sensitive programs,
+  /// x_initial_flops, cyclic netlists — fall back whole to the
+  /// event-driven overlay, so classifications are bit-identical with
+  /// kEventDriven either way (the differential harness in
+  /// tests/test_ppsfp.cpp holds this).
   enum class Engine { kEventDriven, kPpsfp };
   Engine engine = Engine::kEventDriven;
 };

@@ -1,42 +1,15 @@
 #include "fault/ppsfp.hpp"
 
 #include <bit>
-#include <unordered_set>
 
 #include "core/wordpack.hpp"
 #include "hdlsim/compiled_sim.hpp"
 
 namespace scflow::fault {
 
-namespace {
-
 using hdlsim::CompiledProgram;
 using hdlsim::CompiledSim;
 using hdlsim::GateSim;
-
-/// Slots coupled to a macro's port buses: address/enable/data of every
-/// read port plus the write buses.  A stuck-at on one of these nets
-/// interacts with the interpreted macro models' own dirty/skip rules, so
-/// those faults keep the event-driven overlay (the "RAM fallback paths").
-std::unordered_set<std::uint32_t> macro_bus_slots(const CompiledProgram& prog) {
-  std::unordered_set<std::uint32_t> slots;
-  const auto add = [&](const std::vector<std::uint32_t>& v) {
-    slots.insert(v.begin(), v.end());
-  };
-  for (const hdlsim::CompiledMacro& cm : prog.macros) {
-    add(cm.wen_slots);
-    add(cm.waddr_slots);
-    add(cm.wdata_slots);
-  }
-  for (const hdlsim::CompiledMacroPort& mp : prog.macro_ports) {
-    add(mp.addr_slots);
-    add(mp.en_slots);
-    add(mp.data_slots);
-  }
-  return slots;
-}
-
-}  // namespace
 
 PpsfpPlan ppsfp_plan(const nl::Netlist& n, const CompiledProgram& prog,
                      const std::vector<std::vector<std::uint64_t>>& stimulus,
@@ -76,16 +49,16 @@ PpsfpPlan ppsfp_plan(const nl::Netlist& n, const CompiledProgram& prog,
     }
   }
 
+  // Every in-range fault rides a lane, RAM/ROM bus nets included: the
+  // overlay clamps each slot at its write site and the macro ports detect
+  // address/enable changes per lane, so a stuck bus bit reaches only its
+  // own lane's gathers and writes — GateSim::inject_stuck's semantics.
   plan.eligible = true;
-  const std::unordered_set<std::uint32_t> bus = macro_bus_slots(prog);
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const nl::NetId net = faults[i].net;
-    if (net < 0 || static_cast<std::size_t>(net) >= prog.slot_of_net.size()) {
-      plan.fallback.push_back(i);
-      continue;
-    }
-    const std::uint32_t slot = prog.slot_of_net[static_cast<std::size_t>(net)];
-    (bus.contains(slot) ? plan.fallback : plan.parallel).push_back(i);
+    const bool in_range =
+        net >= 0 && static_cast<std::size_t>(net) < prog.slot_of_net.size();
+    (in_range ? plan.parallel : plan.fallback).push_back(i);
   }
   return plan;
 }

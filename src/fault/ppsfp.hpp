@@ -10,12 +10,14 @@
 // taken when the campaign program provably has no X anywhere — decided by
 // ppsfp_plan's screen (no x_initial_flops, and a cheap broadcast
 // two-state run reproducing the four-state reference masks bit for bit).
-// Faults on macro (RAM/ROM) bus nets always fall back to the event-driven
-// faulty-machine overlay, as does the whole list when the screen fails,
-// so the four-valued taxonomy (kOscillating, kUndetectedBudget, ...) is
-// preserved exactly; classifications on the bit-parallel path are
-// bit-identical with GateSim's by construction (see tests/test_ppsfp.cpp
-// for the differential proof).
+// When the screen fails, or the compiler rejects the netlist, the whole
+// list falls back to the event-driven faulty-machine overlay, so the
+// four-valued taxonomy (kOscillating, kUndetectedBudget, ...) is
+// preserved exactly.  Otherwise every fault rides a lane — faults on
+// macro (RAM/ROM) address, enable and data buses included, since the
+// overlay clamps at each write site and the macro ports track changes
+// per lane.  Classifications on the bit-parallel path are bit-identical
+// with GateSim's (see tests/test_ppsfp.cpp for the differential proof).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +33,7 @@
 namespace scflow::fault {
 
 /// How the PPSFP engine handles each fault of a campaign, decided up
-/// front: the program-level eligibility screen plus the per-fault
-/// macro-coupling partition.
+/// front by the program-level eligibility screen.
 struct PpsfpPlan {
   /// Two-state bit-parallel execution is exact for this program.
   bool eligible = false;
@@ -40,15 +41,19 @@ struct PpsfpPlan {
   /// divergence", "combinational cycle").
   std::string reason;
   std::vector<std::size_t> parallel;  ///< fault indices, bit-parallel path
-  std::vector<std::size_t> fallback;  ///< fault indices, event-driven path
+  /// Fault indices on the event-driven path: the whole list when
+  /// !eligible, else only faults naming a net outside the program.
+  std::vector<std::size_t> fallback;
 };
 
 /// Screens (netlist, stimulus, reference) for two-state exactness and
-/// splits @p faults into bit-parallel and fallback subsets.  @p stimulus
-/// and @p reference are the campaign's materialised program and
-/// good-machine samples (one per cycle x output port, port-major within
-/// a cycle).  Runs one broadcast two-state pass over the program — cheap
-/// relative to the fault fan-out it enables.
+/// splits @p faults into bit-parallel and fallback subsets: every fault
+/// on a net of the program is bit-parallel when the screen passes
+/// (RAM/ROM bus faults too), and every fault falls back when it does
+/// not.  @p stimulus and @p reference are the campaign's materialised
+/// program and good-machine samples (one per cycle x output port,
+/// port-major within a cycle).  Runs one broadcast two-state pass over
+/// the program — cheap relative to the fault fan-out it enables.
 PpsfpPlan ppsfp_plan(const nl::Netlist& n, const hdlsim::CompiledProgram& prog,
                      const std::vector<std::vector<std::uint64_t>>& stimulus,
                      const std::vector<hdlsim::GateSim::PortSample>& reference,

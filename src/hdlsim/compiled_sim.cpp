@@ -1,6 +1,7 @@
 #include "hdlsim/compiled_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -65,6 +66,27 @@ CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options, CompiledPr
   }
   scratch_v_.assign(widest_data, 0);
   scratch_k_.assign(widest_data, 0);
+
+  // Read-data slots wired straight onto a port's address/enable bus.
+  std::unordered_map<std::uint32_t, std::uint32_t> read_data;  // slot -> driven_ index
+  for (const CompiledMacroPort& mp : prog_.macro_ports)
+    for (const std::uint32_t s : mp.data_slots) read_data.emplace(s, ~0u);
+  for (std::size_t pi = 0; pi < prog_.macro_ports.size(); ++pi) {
+    const CompiledMacroPort& mp = prog_.macro_ports[pi];
+    std::uint32_t w = 0;  // stash word, in eval_macro_port's scan order
+    for (const auto* bus : {&mp.addr_slots, &mp.en_slots})
+      for (const std::uint32_t s : *bus) {
+        const auto it = read_data.find(s);
+        if (it != read_data.end()) {
+          if (it->second == ~0u) {
+            it->second = static_cast<std::uint32_t>(driven_.size());
+            driven_.push_back({.slot = s});
+          }
+          port_rt_[pi].driven.emplace_back(w, it->second);
+        }
+        ++w;
+      }
+  }
 
   for (const nl::PortBits& p : netlist.inputs()) in_ports_[p.name] = &p;
   for (const nl::PortBits& p : netlist.outputs()) out_ports_[p.name] = &p;
@@ -232,33 +254,34 @@ void CompiledSim::set_fault_overlay(const std::vector<LaneFault>& faults) {
 
 // --- execution -------------------------------------------------------------
 
+// Change detection per lane: only the lanes whose settled address/enable
+// bits moved since their last evaluation, or whose RAM was written,
+// re-evaluate — mirroring GateSim's dirty marking per machine, which is
+// what lets externally driven data-port values persist identically on
+// both engines (and 64 overlay lanes diverge as 64 GateSims would).
 template <bool FourState>
 bool CompiledSim::eval_macro_port(std::uint32_t pi) {
-  if constexpr (!FourState)
-    if (overlay_) return eval_macro_port_overlay(pi);
   const CompiledMacroPort& mp = prog_.macro_ports[pi];
   const CompiledMacro& cm = prog_.macros[mp.macro];
   MacroRt& mrt = macro_rt_[mp.macro];
   PortRt& prt = port_rt_[pi];
 
-  // Change detection: re-evaluate only when the settled address/enable
-  // words moved since the last evaluation or the RAM was written —
-  // mirroring GateSim's dirty marking, which is what lets externally
-  // driven data-port values persist identically on both engines.
   const std::size_t n_in = mp.addr_slots.size() + mp.en_slots.size();
-  bool changed = !prt.valid || mrt.wrote_mask != 0;
+  std::uint64_t changed = prt.valid ? mrt.wrote_mask : ~0ull;
+  // The stash holds the last settle's final values: a drive its port
+  // then undid still counts as a transition.
+  for (const auto& [dw, di] : prt.driven) {
+    changed |= prt.stash[dw] ^ driven_[di].value;
+    if constexpr (FourState) changed |= prt.stash[n_in + dw] ^ driven_[di].known;
+  }
   std::size_t w = 0;
   const auto scan = [&](const std::vector<std::uint32_t>& slots) {
     for (const std::uint32_t s : slots) {
-      if (prt.stash[w] != vals_[s]) {
-        changed = true;
-        prt.stash[w] = vals_[s];
-      }
+      changed |= prt.stash[w] ^ vals_[s];
+      prt.stash[w] = vals_[s];
       if constexpr (FourState) {
-        if (prt.stash[n_in + w] != known_[s]) {
-          changed = true;
-          prt.stash[n_in + w] = known_[s];
-        }
+        changed |= prt.stash[n_in + w] ^ known_[s];
+        prt.stash[n_in + w] = known_[s];
       }
       ++w;
     }
@@ -266,13 +289,14 @@ bool CompiledSim::eval_macro_port(std::uint32_t pi) {
   scan(mp.addr_slots);
   scan(mp.en_slots);
   prt.valid = true;
-  if (!changed) return false;
+  if (changed == 0) return false;
 
   const std::size_t data_bits = mp.data_slots.size();
   std::fill_n(scratch_v_.begin(), data_bits, 0);
   if constexpr (FourState) std::fill_n(scratch_k_.begin(), data_bits, 0);
   const std::size_t entries = std::size_t{1} << cm.addr_bits;
-  for (unsigned lane = 0; lane < kLanes; ++lane) {
+  for (std::uint64_t lanes = changed; lanes != 0; lanes &= lanes - 1) {
+    const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
     std::uint64_t addr = 0;
     bool addr_ok = true;
     for (std::size_t b = 0; b < mp.addr_slots.size(); ++b) {
@@ -296,63 +320,11 @@ bool CompiledSim::eval_macro_port(std::uint32_t pi) {
       if constexpr (FourState) scratch_k_[b] |= std::uint64_t{1} << lane;
     }
   }
-  if constexpr (!FourState) {
-    for (std::size_t b = 0; b < data_bits; ++b) vals_[mp.data_slots[b]] = scratch_v_[b];
-  } else {
-    for (std::size_t b = 0; b < data_bits; ++b) {
-      vals_[mp.data_slots[b]] = scratch_v_[b];
-      known_[mp.data_slots[b]] = scratch_k_[b];
-    }
+  for (std::size_t b = 0; b < data_bits; ++b) {
+    const std::uint32_t s = mp.data_slots[b];
+    vals_[s] = (vals_[s] & ~changed) | scratch_v_[b];
+    if constexpr (FourState) known_[s] = (known_[s] & ~changed) | scratch_k_[b];
   }
-  return true;
-}
-
-// Overlay-mode port evaluation: the same change detection per lane.  Each
-// lane is one faulty machine, so only the lanes whose address/enable bits
-// (or RAM contents) moved re-evaluate — the others keep their externally
-// driven data-port values exactly as their event-driven twin would.
-bool CompiledSim::eval_macro_port_overlay(std::uint32_t pi) {
-  const CompiledMacroPort& mp = prog_.macro_ports[pi];
-  const CompiledMacro& cm = prog_.macros[mp.macro];
-  MacroRt& mrt = macro_rt_[mp.macro];
-  PortRt& prt = port_rt_[pi];
-
-  std::uint64_t changed = prt.valid ? mrt.wrote_mask : ~0ull;
-  std::size_t w = 0;
-  const auto scan = [&](const std::vector<std::uint32_t>& slots) {
-    for (const std::uint32_t s : slots) {
-      changed |= prt.stash[w] ^ vals_[s];
-      prt.stash[w] = vals_[s];
-      ++w;
-    }
-  };
-  scan(mp.addr_slots);
-  scan(mp.en_slots);
-  prt.valid = true;
-  if (changed == 0) return false;
-
-  const std::size_t data_bits = mp.data_slots.size();
-  std::fill_n(scratch_v_.begin(), data_bits, 0);
-  const std::size_t entries = std::size_t{1} << cm.addr_bits;
-  for (unsigned lane = 0; lane < kLanes; ++lane) {
-    if (((changed >> lane) & 1u) == 0) continue;
-    std::uint64_t addr = 0;
-    for (std::size_t b = 0; b < mp.addr_slots.size(); ++b)
-      addr |= std::uint64_t{core::word_lane(vals_[mp.addr_slots[b]], lane)} << b;
-    std::uint64_t word;
-    if (cm.kind == nl::MacroInfo::Kind::kRom) {
-      word = addr < cm.rom_contents.size()
-                 ? static_cast<std::uint64_t>(cm.rom_contents[addr]) &
-                       scflow::bit_mask(cm.data_bits)
-                 : 0;
-    } else {
-      word = mrt.ram[std::size_t{lane} * entries + addr];
-    }
-    for (std::size_t b = 0; b < data_bits; ++b)
-      if (((word >> b) & 1u) != 0) scratch_v_[b] |= std::uint64_t{1} << lane;
-  }
-  for (std::size_t b = 0; b < data_bits; ++b)
-    vals_[mp.data_slots[b]] = (vals_[mp.data_slots[b]] & ~changed) | scratch_v_[b];
   return true;
 }
 
@@ -582,6 +554,10 @@ void CompiledSim::settle() {
   // pass; re-assert their lane clamps before any op reads them.
   if (overlay_)
     for (const Clamp& c : ov_settle_) apply_clamp(c);
+  for (DrivenData& d : driven_) {
+    d.value = vals_[d.slot];
+    if (options_.four_state) d.known = known_[d.slot];
+  }
   if (options_.four_state) exec<true>();
   else exec<false>();
   // Write-forced re-evaluations were consumed by this pass.

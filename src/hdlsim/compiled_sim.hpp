@@ -21,13 +21,15 @@
 // inside the compiled program — the fallback-to-interpreter regime for
 // logic the bytecode cannot fuse.  To match GateSim's event semantics
 // (externally driven macro-data values persist until the port
-// re-evaluates), a port only re-evaluates when its settled address/enable
-// words changed since its last evaluation or the macro was written; with
-// per-lane *independent* stimulus that change detection is whole-word
-// (any lane re-evaluates all lanes), so netlists whose macro data ports
-// are driven externally should use broadcast stimulus.  The checking RAM
-// model (Options::check_ram) stays interpreter-only: make_gate_dut falls
-// back to GateDut when it is requested.
+// re-evaluates), a lane of a port only re-evaluates when that lane's
+// settled address/enable bits changed since its last evaluation or its
+// RAM was written, so each lane behaves as a GateSim over its own
+// stimulus.  A port addressed directly by another port's read data also
+// re-evaluates when the external drive moved that data, even if the
+// other port then restored it — GateSim's dirtiness is per transition,
+// not per settled value.  The checking RAM model (Options::check_ram)
+// stays interpreter-only: make_gate_dut falls back to GateDut when it is
+// requested.
 //
 // PPSFP fault overlay (set_fault_overlay, two-state only): each pattern
 // lane carries one stuck-at fault.  The fault's slot is clamped after
@@ -35,11 +37,10 @@
 // its driver op (the executor splits that op's kind-homogeneous run at
 // the clamp, since a reader may share the run), after the flat flop
 // commit for Q slots — matching GateSim::inject_stuck's write-side
-// semantics per lane.  With
-// an overlay installed the macro change detection above switches to
-// per-lane masks (changed/wrote lanes re-evaluate alone), so 64 faulty
-// machines diverge independently exactly as 64 event-driven GateSims
-// would; the fault campaign's PPSFP engine is the client.
+// semantics per lane.  With the per-lane macro change detection above,
+// 64 faulty machines diverge independently exactly as 64 event-driven
+// GateSims would, RAM/ROM bus faults included; the fault campaign's
+// PPSFP engine is the client.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dtypes/logic.hpp"
@@ -176,8 +178,7 @@ class CompiledSim {
   struct MacroRt {
     std::vector<std::uint32_t> ram;  // [lane * entries + addr]; always defined
     std::uint32_t read_ports = 0;
-    // Lanes written since the last settle: force port re-eval (whole word
-    // without an overlay, per lane with one).
+    // Lanes written since the last settle: force their port re-eval.
     std::uint64_t wrote_mask = 0;
   };
   struct PortRt {
@@ -185,7 +186,19 @@ class CompiledSim {
     // words then known words) — the change detector that reproduces
     // GateSim's event-driven port dirtiness.
     std::vector<std::uint64_t> stash;
+    // (stash word, driven_ index) of each addr/en slot that is another
+    // port's read data.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> driven;
     bool valid = false;
+  };
+  // A read-data slot wired straight onto a read port's address/enable
+  // bus.  It is written twice per cycle, by set_input and then by its own
+  // port, and GateSim dirties the consumer on either transition even when
+  // the second undoes the first — so the consumer also compares its stash
+  // against the slot as the drive left it, captured at settle start.
+  struct DrivenData {
+    std::uint32_t slot = 0;
+    std::uint64_t value = 0, known = 0;
   };
 
   // One merged write-site clamp of the fault overlay: lanes in `mask`
@@ -207,7 +220,6 @@ class CompiledSim {
   void exec();
   template <bool FourState>
   bool eval_macro_port(std::uint32_t pi);
-  bool eval_macro_port_overlay(std::uint32_t pi);
   template <bool FourState>
   void ram_writes();
   void apply_clamp(const Clamp& c) { vals_[c.slot] = (vals_[c.slot] & ~c.mask) | c.val; }
@@ -224,6 +236,7 @@ class CompiledSim {
   std::vector<std::uint64_t> known_;  // four-state only
   std::vector<MacroRt> macro_rt_;
   std::vector<PortRt> port_rt_;
+  std::vector<DrivenData> driven_;
   // Per-port data scatter scratch, sized to the widest data bus at
   // construction so the steady state never allocates.
   std::vector<std::uint64_t> scratch_v_, scratch_k_;

@@ -83,7 +83,7 @@ AdmitResult SrcService::try_open(const SessionConfig& config) {
     if (free_slots_.empty()) sweep_evicted();
     if (free_slots_.empty() && options_.shed_high_watermark > 0 &&
         slots_.size() - free_slots_.size() >= options_.shed_high_watermark) {
-      shed_one();
+      (void)shed_one();  // a freed slot shows up in free_slots_ below
     }
     if (free_slots_.empty()) {
       ++res_.admit_overloaded;

@@ -318,7 +318,9 @@ TEST(GoldenSrc, DepthStaysWithinValidityContract) {
     if (e.is_input) src.push_input(e.t_ps, e.sample);
     else src.pull_output(e.t_ps);
     EXPECT_LE(src.depth(), DepthConstants::kMaxDepth);
-    if (src.started()) EXPECT_GT(src.depth(), 0);
+    if (src.started()) {
+      EXPECT_GT(src.depth(), 0);
+    }
   }
 }
 

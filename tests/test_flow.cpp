@@ -20,8 +20,11 @@ TEST(RefinementFlowTest, ChainVerifiesWithQuantisationStepVisible) {
   EXPECT_EQ(quant.to, "C++ (quantised time)");
   EXPECT_GT(quant.mismatches, 0u);
   // ...and every other step must be exact.
-  for (const auto& s : rep.steps)
-    if (s.to != "C++ (quantised time)") EXPECT_TRUE(s.bit_accurate) << s.from << "->" << s.to;
+  for (const auto& s : rep.steps) {
+    if (s.to != "C++ (quantised time)") {
+      EXPECT_TRUE(s.bit_accurate) << s.from << "->" << s.to;
+    }
+  }
   const std::string text = format_refinement_report(rep);
   EXPECT_NE(text.find("chain verified: yes"), std::string::npos);
 }

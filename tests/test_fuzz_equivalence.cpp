@@ -187,10 +187,11 @@ TEST_P(GateFuzzTableVsReference, BitIdenticalOverRandomNetlists) {
               << "seed " << seed << " cycle " << cycle << " output " << out.name
               << " bit " << b << " knownness (gate " << want.to_string() << " vs compiled "
               << got.to_string() << ")";
-          if (known)
+          if (known) {
             ASSERT_EQ(want.at(b), got.at(b))
                 << "seed " << seed << " cycle " << cycle << " output " << out.name
                 << " bit " << b;
+          }
         }
       }
       // Broadcast stimulus must keep every pattern lane identical: each

@@ -7,16 +7,21 @@
 //    scan programs x thread counts {1,2,4,8} (netlist_fuzz.hpp) — every
 //    per-fault classification, detecting pattern index, observe port and
 //    cycle count must be bit-identical;
-//  * the fallback regimes: x_initial_flops programs fall back whole, RAM
-//    macro bus faults fall back per fault (and neither path crashes or
-//    diverges), with the ppsfp_* accounting visible in the registry;
+//  * RAM/ROM macro bus faults on the bit-parallel path: a RAM design, a
+//    random-netlist shard carrying RAM and ROM macros, and every Fig. 10
+//    design's bus faults, all bit-identical with the event-driven engine
+//    and none falling back;
+//  * the fallback regime: x_initial_flops programs fall back whole (and
+//    still match), with the ppsfp_* accounting visible in the registry;
 //  * run-ledger invariance: the strip-timing ledger projection of a
 //    campaign must not depend on the engine, so cross-engine scflow_report
 //    diffs stay clean for every non-timing metric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -24,9 +29,11 @@
 #include "dtypes/logic.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault.hpp"
+#include "flow/synthesis_flow.hpp"
 #include "hdlsim/compile.hpp"
 #include "hdlsim/compiled_sim.hpp"
 #include "hdlsim/gate_sim.hpp"
+#include "hls/src_beh.hpp"
 #include "netlist/lower.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/opt.hpp"
@@ -34,6 +41,7 @@
 #include "obs/registry.hpp"
 #include "obs/session.hpp"
 #include "rtl/builder.hpp"
+#include "rtl/src_design.hpp"
 
 namespace scflow::fault {
 namespace {
@@ -56,9 +64,9 @@ nl::Netlist scan_accumulator() {
 }
 
 // Accumulator plus a RAM macro whose write bus hangs off primary inputs:
-// faults on the bus nets must take the event-driven fallback, everything
-// else stays on the bit-parallel path (exercising the per-lane macro
-// read-port change detection against GateSim's).
+// faults on the bus nets ride PPSFP lanes like every other fault
+// (exercising the per-lane macro read-port change detection and the
+// per-lane write gathers against GateSim's).
 nl::Netlist ram_design() {
   rtl::DesignBuilder b("ppsfp_ram");
   auto addr = b.input("addr", 4);
@@ -164,9 +172,9 @@ TEST(PpsfpFuzz, XInitialFlopsFallsBackWholeAndMatches) {
   }
 }
 
-// --- fallback regimes on a real RAM macro -------------------------------
+// --- RAM macro bus faults on the bit-parallel path ---------------------
 
-TEST(Ppsfp, RamMacroBusFaultsFallBackAndMatch) {
+TEST(Ppsfp, RamMacroBusFaultsRideLanesAndMatch) {
   const nl::Netlist n = ram_design();
   CampaignOptions opt;
   opt.functional_cycles = 32;
@@ -176,16 +184,83 @@ TEST(Ppsfp, RamMacroBusFaultsFallBackAndMatch) {
   obs::Session session;
   opt.metric_prefix = "fault.ppsfp_ram";
   const CampaignResult r = run_campaign(n, opt, &session);
-  // The write/read bus faults must take the event-driven path...
-  EXPECT_GT(r.ppsfp_fallback, 0u);
-  // ...but not the whole design: the accumulator cone stays bit-parallel
-  // (covering the per-lane macro read-port scatter against GateSim).
-  EXPECT_LT(r.ppsfp_fallback, r.faults.size());
+  // The write/read bus faults are part of the list, and none of them (nor
+  // anything else) leaves the bit-parallel path.
+  EXPECT_FALSE(macro_bus_faults(n, enumerate_stuck_faults(n)).empty());
+  EXPECT_EQ(r.ppsfp_fallback, 0u);
   EXPECT_GT(r.detected, 0u);
-  EXPECT_EQ(session.registry.counter("fault.ppsfp_ram.ppsfp_fallback_faults"),
-            r.ppsfp_fallback);
+  EXPECT_EQ(r.ppsfp_dropped, r.detected);
+  EXPECT_EQ(session.registry.counter("fault.ppsfp_ram.ppsfp_fallback_faults"), 0u);
   EXPECT_EQ(session.registry.counter("fault.ppsfp_ram.ppsfp_dropped"),
             r.ppsfp_dropped);
+}
+
+// Which kind of net drives a macro bus bit — the RAM-bus shard tallies
+// these so a generator change cannot silently drop a wiring shape.
+enum BusSource { kPrimaryInput, kFlopQ, kLogic, kReadData, kTie, kSourceCount };
+
+BusSource bus_source(const nl::Netlist& n, nl::NetId net) {
+  for (const nl::Cell& c : n.cells()) {
+    if (c.output != net) continue;
+    if (c.type == nl::CellType::kTie0 || c.type == nl::CellType::kTie1) return kTie;
+    if (c.type == nl::CellType::kDff || c.type == nl::CellType::kSdff) return kFlopQ;
+    return kLogic;
+  }
+  for (const nl::MacroInfo& mi : n.macros)
+    for (const std::string& name : mi.read_data_ports)
+      for (const nl::NetId d : n.find_input(name)->nets)
+        if (d == net) return kReadData;
+  return kPrimaryInput;
+}
+
+TEST(PpsfpFuzz, RamBusFaultsMatchEventDrivenOnRandomMacroNetlists) {
+  const std::vector<unsigned> threads = {1, 2, 4, 8};
+  // [bus][source] bit counts, bus = read address, read enable, write data.
+  std::size_t tally[3][kSourceCount] = {};
+  std::size_t bus_faults = 0, bus_detected = 0, two_port_rams = 0, roms = 0;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    std::mt19937_64 rng(seed * 0x9fb21c651e98df25ull);
+    nl::Netlist n = random_gate_netlist(rng, /*with_macros=*/true);
+    if ((seed & 1) == 0) nl::insert_scan_chain(n);
+    const CampaignOptions opt = random_campaign_options(rng);
+    const std::string diff = diff_campaign_engines(n, opt, threads);
+    EXPECT_EQ(diff, "") << "seed " << seed;
+    if (!diff.empty()) break;
+
+    CampaignOptions ppsfp = opt;
+    ppsfp.engine = Engine::kPpsfp;
+    const CampaignResult r = run_campaign(n, ppsfp);
+    EXPECT_EQ(r.ppsfp_fallback, 0u) << "seed " << seed;
+    const std::vector<Fault> bus = macro_bus_faults(n, enumerate_stuck_faults(n));
+    bus_faults += bus.size();
+    for (const FaultResult& fr : r.faults)
+      if (fr.klass == FaultClass::kDetected &&
+          std::find(bus.begin(), bus.end(), fr.fault) != bus.end())
+        ++bus_detected;
+
+    for (const nl::MacroInfo& mi : n.macros) {
+      const bool ram = mi.kind == nl::MacroInfo::Kind::kRam;
+      roms += ram ? 0 : 1;
+      two_port_rams += ram && mi.read_data_ports.size() == 2 ? 1 : 0;
+      const auto count = [&](int bus_kind, const std::string& port) {
+        for (const nl::NetId net : n.find_output(port)->nets)
+          ++tally[bus_kind][bus_source(n, net)];
+      };
+      for (const std::string& p : mi.read_addr_ports) count(0, p);
+      for (const std::string& p : mi.read_enable_ports) count(1, p);
+      if (ram) count(2, mi.write_data_port);
+    }
+  }
+  EXPECT_GT(bus_faults, 0u);
+  EXPECT_GT(bus_detected, 0u);
+  EXPECT_LT(bus_detected, bus_faults);
+  EXPECT_GT(two_port_rams, 0u);
+  EXPECT_GT(roms, 0u);
+  for (int bus_kind = 0; bus_kind < 3; ++bus_kind)
+    for (const BusSource src : {kPrimaryInput, kFlopQ, kLogic})
+      EXPECT_GT(tally[bus_kind][src], 0u) << "bus " << bus_kind << " source " << src;
+  // One port's read data addressing another port.
+  EXPECT_GT(tally[0][kReadData], 0u);
 }
 
 TEST(Ppsfp, DroppedAccountingOnScanDesign) {
@@ -216,6 +291,66 @@ TEST(Ppsfp, CycleBudgetParityIsDeterministic) {
   const CampaignResult r = run_campaign(n, opt);
   EXPECT_GT(r.undetected_budget, 0u);
 }
+
+// --- Fig. 10: every design's RAM/ROM bus faults -------------------------
+
+struct Fig10Case {
+  const char* slug;
+  bool scan;
+};
+
+// Names the case in test listings (the default would print the raw bytes,
+// slug pointer included).
+void PrintTo(const Fig10Case& c, std::ostream* os) {
+  *os << c.slug << (c.scan ? " scan" : " noscan");
+}
+
+rtl::Design fig10_design(const std::string& slug) {
+  if (slug == "vhdl_ref") return rtl::build_src_design(rtl::vhdl_ref_config());
+  if (slug == "beh_unopt") return hls::build_beh_src_design(hls::beh_unopt_config());
+  if (slug == "beh_opt") return hls::build_beh_src_design(hls::beh_opt_config());
+  if (slug == "rtl_unopt") return rtl::build_src_design(rtl::rtl_unopt_config());
+  return rtl::build_src_design(rtl::rtl_opt_config());
+}
+
+class PpsfpFig10BusFaults : public ::testing::TestWithParam<Fig10Case> {};
+
+// The signoff campaign (default options) restricted to the design's macro
+// bus faults, on the netlist variant the flow runs it on: the event-driven
+// reference against PPSFP at every thread count, with nothing falling
+// back.  The scan variants have long shift programs, so only RTL opt.
+// runs scan here; fault_campaign --check covers the rest.
+TEST_P(PpsfpFig10BusFaults, MatchEventDriven) {
+  const Fig10Case& c = GetParam();
+  nl::Netlist pre_scan("");
+  const nl::Netlist gates = flow::synthesize_to_gates(fig10_design(c.slug), nullptr,
+                                                      nullptr, c.slug, {}, &pre_scan);
+  const nl::Netlist& n = c.scan ? gates : pre_scan;
+  const std::vector<Fault> bus = macro_bus_faults(pre_scan, enumerate_stuck_faults(pre_scan));
+  ASSERT_FALSE(bus.empty());
+
+  CampaignOptions opt;
+  opt.use_scan = c.scan;
+  opt.threads = 4;
+  const CampaignResult ref = run_campaign(n, bus, opt);
+  EXPECT_GT(ref.detected, 0u);
+  opt.engine = Engine::kPpsfp;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    opt.threads = threads;
+    const CampaignResult got = run_campaign(n, bus, opt);
+    EXPECT_EQ(got.ppsfp_fallback, 0u) << "threads " << threads;
+    EXPECT_EQ(diff_campaign_results(n, ref, got), "") << "threads " << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig10, PpsfpFig10BusFaults,
+    ::testing::Values(Fig10Case{"vhdl_ref", false}, Fig10Case{"beh_unopt", false},
+                      Fig10Case{"beh_opt", false}, Fig10Case{"rtl_unopt", false},
+                      Fig10Case{"rtl_opt", false}, Fig10Case{"rtl_opt", true}),
+    [](const ::testing::TestParamInfo<Fig10Case>& info) {
+      return std::string(info.param.slug) + (info.param.scan ? "_scan" : "_noscan");
+    });
 
 // --- ledger invariance ---------------------------------------------------
 
