@@ -21,7 +21,9 @@ SKIP_SANITIZE=0
 RAN_PASSES=()
 
 echo "== tier-1: configure + build + ctest (build/) =="
-cmake -B build -S . >/dev/null
+# Warnings are errors on this lane (the sanitizer lanes below keep the
+# default flags).
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 RAN_PASSES+=("tier-1")

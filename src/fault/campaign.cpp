@@ -159,6 +159,7 @@ void CampaignResult::record_into(obs::Registry& reg, std::string_view prefix) co
   reg.set_counter(p + ".scan_used", scan_used ? 1 : 0);
   reg.set_counter(p + ".ppsfp_dropped", ppsfp_dropped);
   reg.set_counter(p + ".ppsfp_fallback_faults", ppsfp_fallback);
+  reg.set_counter(p + ".ppsfp_batch_cycles", ppsfp_batch_cycles);
   reg.set_gauge(p + ".coverage_pct", coverage_pct());
 }
 
@@ -208,14 +209,19 @@ CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faul
   GateSim::Options sim_opt;
   sim_opt.x_initial_flops = options.x_initial_flops;
 
+  // An empty fault list has nothing to compare against a good machine:
+  // it keeps only the program-derived fields above and skips the compile,
+  // the reference run and the PPSFP screen.
+  const bool simulate = !faults.empty();
+
   // One compile serves the compiled reference run, the PPSFP screen, and
   // every PPSFP batch.  A netlist the compiler rejects (combinational
   // cycle) simply keeps the whole fault list on the event-driven path.
   const bool use_ppsfp = options.engine == CampaignOptions::Engine::kPpsfp;
   std::optional<hdlsim::CompiledProgram> cprog;
-  if (options.reference_backend == hdlsim::Backend::kCompiled) {
+  if (simulate && options.reference_backend == hdlsim::Backend::kCompiled) {
     cprog.emplace(hdlsim::compile_netlist(n));
-  } else if (use_ppsfp) {
+  } else if (simulate && use_ppsfp) {
     try {
       cprog.emplace(hdlsim::compile_netlist(n));
     } catch (const std::exception&) {
@@ -227,7 +233,7 @@ CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faul
   // pattern lanes (four-state so X propagation matches the interpreter);
   // either way the faulty machines below compare against identical masks.
   std::vector<GateSim::PortSample> reference;
-  if (options.reference_backend == hdlsim::Backend::kCompiled) {
+  if (simulate && options.reference_backend == hdlsim::Backend::kCompiled) {
     hdlsim::CompiledSim::Options copt;
     copt.four_state = true;
     copt.x_initial_flops = options.x_initial_flops;
@@ -237,7 +243,7 @@ CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faul
     hdlsim::CompiledSim good(n, *cprog, copt);
     reference = reference_run(good, obs_points, prog);
     if (session != nullptr) good.record_into(session->registry, "compiled." + n.name());
-  } else {
+  } else if (simulate) {
     GateSim good(n, sim_opt);
     reference = reference_run(good, obs_points, prog);
   }
@@ -316,7 +322,7 @@ CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faul
     if (cprog.has_value()) {
       plan = ppsfp_plan(n, *cprog, prog.cycles, reference, options.x_initial_flops,
                         faults);
-    } else {
+    } else if (simulate) {
       plan.reason = "combinational cycle";
       plan.fallback.resize(faults.size());
       for (std::size_t i = 0; i < faults.size(); ++i) plan.fallback[i] = i;
@@ -358,6 +364,14 @@ CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faul
     result.ppsfp_fallback = plan.fallback.size();
     for (const std::size_t fi : plan.parallel)
       if (result.faults[fi].klass == FaultClass::kDetected) ++result.ppsfp_dropped;
+    // A batch runs until its last lane drops (or the program ends), so its
+    // length is the longest of its faults' simulated cycles.
+    for (std::size_t begin = 0; begin < plan.parallel.size(); begin += kB) {
+      std::uint64_t batch_cycles = 0;
+      for (std::size_t i = begin; i < std::min(begin + kB, plan.parallel.size()); ++i)
+        batch_cycles = std::max(batch_cycles, result.faults[plan.parallel[i]].cycles);
+      result.ppsfp_batch_cycles += batch_cycles;
+    }
   }
 
   for (const FaultResult& fr : result.faults) {

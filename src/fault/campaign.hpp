@@ -128,6 +128,10 @@ struct CampaignResult {
   /// fell back to the event-driven overlay.
   std::size_t ppsfp_dropped = 0;
   std::size_t ppsfp_fallback = 0;
+  /// Cycles the PPSFP batches simulated, summed over batches (each runs
+  /// until its last lane drops).  Lane utilisation of the bit-parallel
+  /// path is its faults' cycles / (64 x ppsfp_batch_cycles).
+  std::uint64_t ppsfp_batch_cycles = 0;
 
   [[nodiscard]] std::size_t simulated() const { return faults.size(); }
   /// Stuck-at coverage over the simulated faults, in percent.
@@ -149,7 +153,9 @@ CampaignResult run_campaign(const nl::Netlist& n, const CampaignOptions& options
 
 /// Same, over a caller-supplied fault list (already collapsed/sampled) —
 /// the flow uses this to compare scan vs no-scan variants of one design
-/// over the identical fault universe.
+/// over the identical fault universe.  An empty list only fills the
+/// program-derived fields (scan_used, stimulus_cycles, observe_ports):
+/// no compile, good-machine run or PPSFP screen.
 CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faults,
                             const CampaignOptions& options = {},
                             scflow::obs::Session* session = nullptr);

@@ -201,6 +201,16 @@ CompiledProgram compile_netlist(const nl::Netlist& n) {
     prog.macro_ports[pi].en_slots = slots_of(port_en_nets[pi]);
     prog.macro_ports[pi].data_slots = slots_of(port_data_nets[pi]);
   }
+  // CompiledSim moves each macro address and data bus through one
+  // transpose of at most 64 words.
+  const auto too_wide = [](const std::vector<std::uint32_t>& bus) { return bus.size() > 64; };
+  for (const CompiledMacro& cm : prog.macros)
+    if (too_wide(cm.waddr_slots) || too_wide(cm.wdata_slots))
+      throw std::logic_error(n.name() + ": macro '" + cm.name + "' bus wider than 64 bits");
+  for (const CompiledMacroPort& mp : prog.macro_ports)
+    if (too_wide(mp.addr_slots) || too_wide(mp.data_slots))
+      throw std::logic_error(n.name() + ": macro '" + prog.macros[mp.macro].name +
+                             "' bus wider than 64 bits");
 
   // --- op emission in the Kahn order -------------------------------------
   const auto emit = [&](const UnitRef& u) {

@@ -49,12 +49,13 @@ CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options, CompiledPr
     if (k != nullptr) k[fi] = ~0ull;
   }
 
-  std::size_t widest_data = 0;
+  std::size_t widest_bus = 0;
   macro_rt_.resize(prog_.macros.size());
   for (std::size_t mi = 0; mi < prog_.macros.size(); ++mi) {
     const CompiledMacro& cm = prog_.macros[mi];
-    if (cm.kind == nl::MacroInfo::Kind::kRam)
-      macro_rt_[mi].ram.assign(std::size_t{kLanes} << cm.addr_bits, 0);
+    if (cm.kind != nl::MacroInfo::Kind::kRam) continue;
+    macro_rt_[mi].ram.assign(std::size_t{kLanes} << cm.addr_bits, 0);
+    widest_bus = std::max({widest_bus, cm.waddr_slots.size(), cm.wdata_slots.size()});
   }
   port_rt_.resize(prog_.macro_ports.size());
   for (std::size_t pi = 0; pi < prog_.macro_ports.size(); ++pi) {
@@ -62,10 +63,9 @@ CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options, CompiledPr
     ++macro_rt_[mp.macro].read_ports;
     const std::size_t stash_words = mp.addr_slots.size() + mp.en_slots.size();
     port_rt_[pi].stash.assign(stash_words * (options_.four_state ? 2 : 1), 0);
-    widest_data = std::max(widest_data, mp.data_slots.size());
+    widest_bus = std::max(widest_bus, mp.data_slots.size());
   }
-  scratch_v_.assign(widest_data, 0);
-  scratch_k_.assign(widest_data, 0);
+  bus_.assign(widest_bus, 0);
 
   // Read-data slots wired straight onto a port's address/enable bus.
   std::unordered_map<std::uint32_t, std::uint32_t> read_data;  // slot -> driven_ index
@@ -266,7 +266,8 @@ bool CompiledSim::eval_macro_port(std::uint32_t pi) {
   MacroRt& mrt = macro_rt_[mp.macro];
   PortRt& prt = port_rt_[pi];
 
-  const std::size_t n_in = mp.addr_slots.size() + mp.en_slots.size();
+  const std::size_t n_addr = mp.addr_slots.size();
+  const std::size_t n_in = n_addr + mp.en_slots.size();
   std::uint64_t changed = prt.valid ? mrt.wrote_mask : ~0ull;
   // The stash holds the last settle's final values: a drive its port
   // then undid still counts as a transition.
@@ -291,39 +292,35 @@ bool CompiledSim::eval_macro_port(std::uint32_t pi) {
   prt.valid = true;
   if (changed == 0) return false;
 
-  const std::size_t data_bits = mp.data_slots.size();
-  std::fill_n(scratch_v_.begin(), data_bits, 0);
-  if constexpr (FourState) std::fill_n(scratch_k_.begin(), data_bits, 0);
-  const std::size_t entries = std::size_t{1} << cm.addr_bits;
-  for (std::uint64_t lanes = changed; lanes != 0; lanes &= lanes - 1) {
-    const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
-    std::uint64_t addr = 0;
-    bool addr_ok = true;
-    for (std::size_t b = 0; b < mp.addr_slots.size(); ++b) {
-      const std::uint32_t s = mp.addr_slots[b];
-      if constexpr (FourState)
-        addr_ok &= core::word_lane(known_[s], lane);
-      addr |= std::uint64_t{core::word_lane(vals_[s], lane)} << b;
+  // Lanes with an unknown address bit read an all-unknown data bus.
+  std::uint64_t look = changed;
+  if constexpr (FourState)
+    for (std::size_t b = 0; b < n_addr; ++b) look &= prt.stash[n_in + b];
+  // The stash now holds the settled address words: transpose them into
+  // per-lane addresses, look each lane's word up, transpose back.
+  core::gather_lanes(prt.stash.data(), n_addr, lane_addr_.data());
+  if (cm.kind == nl::MacroInfo::Kind::kRom) {
+    const std::uint64_t mask = scflow::bit_mask(cm.data_bits);
+    for (std::uint64_t lanes = look; lanes != 0; lanes &= lanes - 1) {
+      const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
+      const std::uint64_t addr = lane_addr_[lane];
+      lane_data_[lane] = addr < cm.rom_contents.size()
+                             ? static_cast<std::uint64_t>(cm.rom_contents[addr]) & mask
+                             : 0;
     }
-    if (!addr_ok) continue;  // whole data bus unknown for this lane
-    std::uint64_t word;
-    if (cm.kind == nl::MacroInfo::Kind::kRom) {
-      word = addr < cm.rom_contents.size()
-                 ? static_cast<std::uint64_t>(cm.rom_contents[addr]) &
-                       scflow::bit_mask(cm.data_bits)
-                 : 0;
-    } else {
-      word = mrt.ram[std::size_t{lane} * entries + addr];
-    }
-    for (std::size_t b = 0; b < data_bits; ++b) {
-      if (((word >> b) & 1u) != 0) scratch_v_[b] |= std::uint64_t{1} << lane;
-      if constexpr (FourState) scratch_k_[b] |= std::uint64_t{1} << lane;
+  } else {
+    const std::size_t entries = std::size_t{1} << cm.addr_bits;
+    for (std::uint64_t lanes = look; lanes != 0; lanes &= lanes - 1) {
+      const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
+      lane_data_[lane] = mrt.ram[std::size_t{lane} * entries + lane_addr_[lane]];
     }
   }
+  const std::size_t data_bits = mp.data_slots.size();
+  core::scatter_lanes(lane_data_.data(), look, data_bits, bus_.data());
   for (std::size_t b = 0; b < data_bits; ++b) {
     const std::uint32_t s = mp.data_slots[b];
-    vals_[s] = (vals_[s] & ~changed) | scratch_v_[b];
-    if constexpr (FourState) known_[s] = (known_[s] & ~changed) | scratch_k_[b];
+    vals_[s] = (vals_[s] & ~changed) | bus_[b];
+    if constexpr (FourState) known_[s] = (known_[s] & ~changed) | look;
   }
   return true;
 }
@@ -513,37 +510,35 @@ void CompiledSim::ram_writes() {
   for (std::size_t mi = 0; mi < prog_.macros.size(); ++mi) {
     const CompiledMacro& cm = prog_.macros[mi];
     if (cm.kind != nl::MacroInfo::Kind::kRam) continue;
+    // Same rules as GateSim: X on the enable bus or a zero enable skips,
+    // an X address makes the contents unknowable (skip), X data writes 0.
+    // Unknown bits carry value 0, so the OR of the enable words alone
+    // rules out the common idle cycle before any known-mask work.
+    std::uint64_t write = 0;
+    for (const std::uint32_t s : cm.wen_slots) write |= vals_[s];
+    if (write == 0) continue;
+    std::uint64_t data_ok = ~0ull;
+    if constexpr (FourState) {
+      for (const std::uint32_t s : cm.wen_slots) write &= known_[s];
+      for (const std::uint32_t s : cm.waddr_slots) write &= known_[s];
+      for (const std::uint32_t s : cm.wdata_slots) data_ok &= known_[s];
+      if (write == 0) continue;
+    }
+    const auto gather = [&](const std::vector<std::uint32_t>& slots, std::uint64_t* out) {
+      for (std::size_t b = 0; b < slots.size(); ++b) bus_[b] = vals_[slots[b]];
+      core::gather_lanes(bus_.data(), slots.size(), out);
+    };
+    gather(cm.waddr_slots, lane_addr_.data());
+    gather(cm.wdata_slots, lane_data_.data());
     MacroRt& mrt = macro_rt_[mi];
     const std::size_t entries = std::size_t{1} << cm.addr_bits;
-    const auto gather = [&](const std::vector<std::uint32_t>& slots, unsigned lane,
-                            bool& ok) {
-      std::uint64_t w = 0;
-      for (std::size_t b = 0; b < slots.size(); ++b) {
-        if constexpr (FourState) ok &= core::word_lane(known_[slots[b]], lane);
-        w |= std::uint64_t{core::word_lane(vals_[slots[b]], lane)} << b;
-      }
-      return w;
-    };
-    std::uint64_t wrote = 0;
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      // Same rules as GateSim: X on the enable bus or a zero enable skips,
-      // an X address makes the contents unknowable (skip), X data writes 0.
-      bool wen_ok = true;
-      const std::uint64_t wen = gather(cm.wen_slots, lane, wen_ok);
-      if (!wen_ok || wen == 0) continue;
-      bool addr_ok = true;
-      const std::uint64_t addr = gather(cm.waddr_slots, lane, addr_ok);
-      if (!addr_ok) continue;
-      bool data_ok = true;
-      const std::uint64_t data = gather(cm.wdata_slots, lane, data_ok);
-      mrt.ram[std::size_t{lane} * entries + addr] =
-          data_ok ? static_cast<std::uint32_t>(data) : 0;
-      wrote |= std::uint64_t{1} << lane;
+    for (std::uint64_t lanes = write; lanes != 0; lanes &= lanes - 1) {
+      const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
+      mrt.ram[std::size_t{lane} * entries + lane_addr_[lane]] =
+          core::word_lane(data_ok, lane) ? static_cast<std::uint32_t>(lane_data_[lane]) : 0;
     }
-    if (wrote != 0) {
-      mrt.wrote_mask |= wrote;
-      counters_.ram_rereads += mrt.read_ports;
-    }
+    mrt.wrote_mask |= write;
+    counters_.ram_rereads += mrt.read_ports;
   }
 }
 

@@ -17,9 +17,16 @@
 //    output_sample() masks bit for bit (the fault campaign's reference
 //    backend rests on this).
 //
-// Macro (RAM/ROM) read ports run as per-lane bit-serial interpreted ops
-// inside the compiled program — the fallback-to-interpreter regime for
-// logic the bytecode cannot fuse.  To match GateSim's event semantics
+// Macro (RAM/ROM) read ports run as word-parallel ops inside the
+// compiled program: a bit-matrix transpose (core/wordpack.hpp, log2 of
+// the bus width in block-swap stages over all 64 lanes) turns the
+// address slot words into per-lane addresses, each lane looks its word
+// up, and a second transpose moves the data back onto the data slots;
+// the RAM write pass gathers address and data the same way and is
+// skipped outright when no lane's enable is set.  Four-state mode
+// only adds known masks: a lane with an unknown address bit reads an
+// unknown data bus, an unknown write enable or address skips the write,
+// and unknown write data writes 0.  To match GateSim's event semantics
 // (externally driven macro-data values persist until the port
 // re-evaluates), a lane of a port only re-evaluates when that lane's
 // settled address/enable bits changed since its last evaluation or its
@@ -43,6 +50,7 @@
 // PPSFP engine is the client.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -237,9 +245,11 @@ class CompiledSim {
   std::vector<MacroRt> macro_rt_;
   std::vector<PortRt> port_rt_;
   std::vector<DrivenData> driven_;
-  // Per-port data scatter scratch, sized to the widest data bus at
-  // construction so the steady state never allocates.
-  std::vector<std::uint64_t> scratch_v_, scratch_k_;
+  // Macro-port transpose scratch: one bus of slot words (sized to the
+  // widest read-data / RAM write bus at construction, so the steady
+  // state never allocates) and per-lane address / data words.
+  std::vector<std::uint64_t> bus_;
+  std::array<std::uint64_t, kLanes> lane_addr_{}, lane_data_{};
   std::unordered_map<std::string, PortRef> in_ports_, out_ports_;
 
   // Fault overlay, split by write site: externally driven / undriven

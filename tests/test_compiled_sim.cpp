@@ -7,8 +7,10 @@
 // backend, and the CEC compiled pre-pass.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
+#include "core/wordpack.hpp"
 #include "dsp/stimulus.hpp"
 #include "fault/campaign.hpp"
 #include "flow/synthesis_flow.hpp"
@@ -124,6 +126,36 @@ TEST(CompiledProgram, CombinationalCycleThrows) {
   n.add_input("in", {a});          // unused; keeps validate() quiet
   n.add_output("out", {c});
   EXPECT_THROW((void)compile_netlist(n), std::logic_error);
+}
+
+TEST(CompiledProgram, MacroBusWiderThan64BitsThrows) {
+  for (const int data_bits : {64, 65}) {
+    nl::Netlist n("wide_rom");
+    const nl::NetId a = n.new_net();
+    n.add_input("addr", {a});
+    n.add_output("rom_r0_addr", {a});
+    std::vector<nl::NetId> data;
+    for (int b = 0; b < data_bits; ++b) data.push_back(n.new_net());
+    n.add_input("rom_r0_data", data);
+    n.add_output("out", {data.back()});
+    nl::MacroInfo mi;
+    mi.kind = nl::MacroInfo::Kind::kRom;
+    mi.name = "rom";
+    mi.addr_bits = 1;
+    mi.data_bits = data_bits;
+    mi.rom_contents = {-1, 0};
+    mi.read_addr_ports.push_back("rom_r0_addr");
+    mi.read_data_ports.push_back("rom_r0_data");
+    n.macros.push_back(std::move(mi));
+    if (data_bits > 64) {
+      EXPECT_THROW((void)compile_netlist(n), std::logic_error);
+    } else {
+      CompiledSim sim(n);
+      sim.set_input("addr", 0);
+      sim.step();
+      EXPECT_EQ(sim.output("out"), 1u);
+    }
+  }
 }
 
 // A flop chain q0 -> q1 -> ... -> q7 is the classic in-place-commit trap:
@@ -472,6 +504,100 @@ TEST(CompiledLanes, MacroNetlistsMatchInterpreterUnderX) {
             << "seed " << seed << " cycle " << cycle << " port " << out.name;
         ASSERT_EQ(got.value, ref.value)
             << "seed " << seed << " cycle " << cycle << " port " << out.name;
+      }
+    }
+  }
+}
+
+// Every lane against its own interpreter, with an independent random word
+// per input bit: the macro ports gather addresses and scatter data an
+// 8-lane group at a time, so broadcast stimulus and single-lane faults
+// alone would not show a lane crossing into its neighbour.  Four-state
+// runs add per-lane X through the known-mask drive (and X power-up on odd
+// seeds).
+TEST(CompiledLanes, MacroNetlistsMatchPerLaneInterpreters) {
+  constexpr unsigned kL = CompiledSim::kLanes;
+  for (const bool four : {false, true}) {
+    for (int seed = 0; seed < 32; ++seed) {
+      std::mt19937_64 rng(0x3ad10000u + static_cast<unsigned>(seed));
+      const nl::Netlist n = random_gate_netlist(rng, /*with_macros=*/true);
+      const bool x_init = four && (seed & 1) != 0;
+      CompiledSim comp(n, {.four_state = four, .x_initial_flops = x_init});
+      std::vector<std::unique_ptr<GateSim>> refs;
+      for (unsigned l = 0; l < kL; ++l)
+        refs.push_back(std::make_unique<GateSim>(n, GateSim::Options{.x_initial_flops = x_init}));
+
+      for (int cycle = 0; cycle < 24; ++cycle) {
+        for (const nl::PortBits& in : n.inputs()) {
+          const std::size_t width = in.nets.size();
+          std::vector<std::uint64_t> val(width), known(width, ~0ull);
+          for (std::size_t b = 0; b < width; ++b) {
+            if (four) known[b] = rng() | rng() | rng();  // ~1/8 of the lanes X
+            val[b] = rng() & known[b];
+            if (four) comp.set_input_word(&in, b, val[b], known[b]);
+            else comp.set_input_word(&in, b, val[b]);
+          }
+          for (unsigned l = 0; l < kL; ++l) {
+            LogicVector v(width);
+            for (std::size_t b = 0; b < width; ++b)
+              v.set(b, !core::word_lane(known[b], l)
+                           ? Logic::X
+                           : logic_from_bool(core::word_lane(val[b], l)));
+            refs[l]->set_input_logic(in.name, v);
+          }
+        }
+        comp.step();
+        for (auto& r : refs) r->step();
+        for (const nl::PortBits& out : n.outputs()) {
+          for (unsigned l = 0; l < kL; ++l) {
+            const GateSim::PortSample want = refs[l]->output_sample(&out);
+            const GateSim::PortSample got = comp.output_sample(&out, l);
+            ASSERT_EQ(got.known, want.known) << (four ? "four" : "two") << "-state seed "
+                                             << seed << " cycle " << cycle << " lane " << l
+                                             << " port " << out.name;
+            ASSERT_EQ(got.value, want.value) << (four ? "four" : "two") << "-state seed "
+                                             << seed << " cycle " << cycle << " lane " << l
+                                             << " port " << out.name;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The transpose helpers behind the macro ports against a naive per-lane
+// reference, at bus widths that fill, straddle and underfill each
+// power-of-two block width, with lane masks that leave whole 8-lane
+// groups empty.
+TEST(WordPack, GatherScatterMatchPerLaneReference) {
+  std::mt19937_64 rng(0x7a5e);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 23u, 32u, 64u}) {
+    for (int trial = 0; trial < 64; ++trial) {
+      std::vector<std::uint64_t> words(n);
+      for (auto& w : words) w = rng();
+      std::array<std::uint64_t, 64> got;
+      core::gather_lanes(words.data(), n, got.data());
+      for (unsigned l = 0; l < 64; ++l) {
+        std::uint64_t want = 0;
+        for (std::size_t b = 0; b < n; ++b)
+          want |= std::uint64_t{core::word_lane(words[b], l)} << b;
+        ASSERT_EQ(got[l], want) << "n " << n << " lane " << l;
+      }
+
+      std::uint64_t lanes = rng();
+      if (trial % 4 == 1) lanes &= 0xff00ff0000ff00f0ull;  // empty groups in between
+      if (trial % 4 == 2) lanes &= 0x8000000000000001ull;  // one lane at each end
+      if (trial % 4 == 3) lanes = 0;
+      std::array<std::uint64_t, 64> per_lane;
+      for (auto& v : per_lane) v = rng();  // bits at and above n are ignored
+      std::vector<std::uint64_t> back(n, rng());
+      core::scatter_lanes(per_lane.data(), lanes, n, back.data());
+      for (std::size_t b = 0; b < n; ++b) {
+        std::uint64_t want = 0;
+        for (unsigned l = 0; l < 64; ++l)
+          if (core::word_lane(lanes, l) && ((per_lane[l] >> b) & 1u) != 0)
+            want |= std::uint64_t{1} << l;
+        ASSERT_EQ(back[b], want) << "n " << n << " bit " << b;
       }
     }
   }

@@ -282,6 +282,86 @@ TEST(Ppsfp, DroppedAccountingOnScanDesign) {
   EXPECT_EQ(h->count(), r.ppsfp_dropped);
 }
 
+// A PPSFP batch runs until its last lane drops, so ppsfp_batch_cycles is
+// the per-batch maximum of the faults' simulated cycles, summed — the
+// denominator of the bit-parallel path's lane utilisation.
+TEST(Ppsfp, BatchCyclesBoundTheLaneCycles) {
+  const nl::Netlist n = ram_design();
+  CampaignOptions opt;
+  opt.engine = Engine::kPpsfp;
+  opt.metric_prefix = "fault.ppsfp_ram";
+  obs::Session session;
+  const CampaignResult r = run_campaign(n, opt, &session);
+  ASSERT_EQ(r.ppsfp_fallback, 0u);
+  ASSERT_GT(r.faults.size(), 64u);  // more than one batch, the last one partial
+  std::uint64_t want = 0;
+  for (std::size_t begin = 0; begin < r.faults.size(); begin += 64) {
+    std::uint64_t longest = 0;
+    for (std::size_t i = begin; i < std::min(begin + 64, r.faults.size()); ++i)
+      longest = std::max(longest, r.faults[i].cycles);
+    want += longest;
+  }
+  EXPECT_EQ(r.ppsfp_batch_cycles, want);
+  EXPECT_LE(r.ppsfp_batch_cycles, r.stimulus_cycles * ((r.faults.size() + 63) / 64));
+  EXPECT_GT(r.faulty_cycles_total, 0u);
+  EXPECT_LE(r.faulty_cycles_total, 64 * r.ppsfp_batch_cycles);
+  EXPECT_EQ(session.registry.counter("fault.ppsfp_ram.ppsfp_batch_cycles"),
+            r.ppsfp_batch_cycles);
+  // Engine accounting only: the ledger entry does not carry it, and the
+  // event-driven engine runs no batches.
+  ASSERT_EQ(session.ledger.size(), 1u);
+  EXPECT_EQ(session.ledger.entries()[0].to_json(true).find("batch_cycles"), std::string::npos);
+  opt.engine = Engine::kEventDriven;
+  EXPECT_EQ(run_campaign(n, opt).ppsfp_batch_cycles, 0u);
+}
+
+// An empty fault list skips the compile, the good machine and the screen,
+// yet returns what a full run would for an empty list: the program-derived
+// fields of a non-empty run of the same program, and zeros everywhere else.
+TEST(Ppsfp, EmptyFaultListFillsOnlyTheProgramFields) {
+  for (const bool scan : {true, false}) {
+    const nl::Netlist n = scan ? scan_accumulator() : ram_design();
+    const std::vector<Fault> one = {enumerate_stuck_faults(n).front()};
+    for (const Engine engine : {Engine::kEventDriven, Engine::kPpsfp}) {
+      for (const hdlsim::Backend ref :
+           {hdlsim::Backend::kInterpreted, hdlsim::Backend::kCompiled}) {
+        CampaignOptions opt;
+        opt.engine = engine;
+        opt.reference_backend = ref;
+        opt.threads = 2;
+        const CampaignResult full = run_campaign(n, one, opt);
+        obs::Session session;
+        const CampaignResult r = run_campaign(n, {}, opt, &session);
+        EXPECT_EQ(r.design, n.name());
+        EXPECT_EQ(r.list.sites, 0u);
+        EXPECT_EQ(r.list.raw, 0u);
+        EXPECT_EQ(r.list.collapsed, 0u);
+        EXPECT_EQ(r.population, 0u);
+        EXPECT_EQ(r.scan_used, full.scan_used);
+        EXPECT_EQ(r.scan_used, scan);
+        EXPECT_EQ(r.stimulus_cycles, full.stimulus_cycles);
+        EXPECT_GT(r.stimulus_cycles, 0u);
+        EXPECT_EQ(r.observe_ports, full.observe_ports);
+        EXPECT_TRUE(r.faults.empty());
+        EXPECT_EQ(r.detected, 0u);
+        EXPECT_EQ(r.undetected, 0u);
+        EXPECT_EQ(r.undetected_budget, 0u);
+        EXPECT_EQ(r.oscillating, 0u);
+        EXPECT_EQ(r.faulty_cycles_total, 0u);
+        EXPECT_EQ(r.ppsfp_dropped, 0u);
+        EXPECT_EQ(r.ppsfp_fallback, 0u);
+        EXPECT_EQ(r.ppsfp_batch_cycles, 0u);
+        // The session still gets the campaign's records.
+        ASSERT_EQ(session.ledger.size(), 1u);
+        const std::string p = "fault." + n.name();
+        EXPECT_EQ(session.registry.counter(p + ".stimulus_cycles"), r.stimulus_cycles);
+        EXPECT_TRUE(session.registry.has_counter(p + ".simulated"));
+        EXPECT_EQ(session.registry.counter(p + ".simulated"), 0u);
+      }
+    }
+  }
+}
+
 TEST(Ppsfp, CycleBudgetParityIsDeterministic) {
   const nl::Netlist n = scan_accumulator();
   CampaignOptions opt;
