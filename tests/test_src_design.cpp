@@ -4,6 +4,8 @@
 // the Fig. 10 area differences.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/run.hpp"
 #include "dsp/stimulus.hpp"
 #include "rtl/passes.hpp"
@@ -48,8 +50,25 @@ TEST(SrcDesigns, RegisterBitsReflectArchitecture) {
   EXPECT_GT(ref.register_bits, unopt.register_bits);
 }
 
-class SrcDesignEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, SrcMode>> {};
+struct SrcCase {
+  const char* which;
+  SrcMode mode;
+};
+
+// Names the case in test listings (the default would print the raw bytes,
+// the architecture pointer included, which changes from run to run).
+void PrintTo(const SrcCase& c, std::ostream* os) {
+  const char* mode = "";
+  switch (c.mode) {
+    case SrcMode::k44_1To48: mode = "44_1To48"; break;
+    case SrcMode::k48To44_1: mode = "48To44_1"; break;
+    case SrcMode::k48To48: mode = "48To48"; break;
+    case SrcMode::k32To48: mode = "32To48"; break;
+  }
+  *os << c.which << '_' << mode;
+}
+
+class SrcDesignEquivalence : public ::testing::TestWithParam<SrcCase> {};
 
 TEST_P(SrcDesignEquivalence, MatchesQuantisedGolden) {
   const auto [which, mode] = GetParam();
@@ -69,12 +88,12 @@ TEST_P(SrcDesignEquivalence, MatchesQuantisedGolden) {
 
 INSTANTIATE_TEST_SUITE_P(
     Architectures, SrcDesignEquivalence,
-    ::testing::Values(std::make_tuple("rtl_opt", SrcMode::k44_1To48),
-                      std::make_tuple("rtl_opt", SrcMode::k48To44_1),
-                      std::make_tuple("rtl_opt", SrcMode::k48To48),
-                      std::make_tuple("rtl_unopt", SrcMode::k44_1To48),
-                      std::make_tuple("vhdl_ref", SrcMode::k44_1To48),
-                      std::make_tuple("vhdl_ref", SrcMode::k48To48)));
+    ::testing::Values(SrcCase{"rtl_opt", SrcMode::k44_1To48},
+                      SrcCase{"rtl_opt", SrcMode::k48To44_1},
+                      SrcCase{"rtl_opt", SrcMode::k48To48},
+                      SrcCase{"rtl_unopt", SrcMode::k44_1To48},
+                      SrcCase{"vhdl_ref", SrcMode::k44_1To48},
+                      SrcCase{"vhdl_ref", SrcMode::k48To48}));
 
 TEST(SrcDesigns, OptimisedDesignSurvivesPasses) {
   const auto ev = schedule(SrcMode::k44_1To48, 200, 3);
