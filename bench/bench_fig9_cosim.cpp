@@ -85,17 +85,13 @@ double patterns_per_cycle(DutKind kind) {
 }
 
 std::unique_ptr<hdlsim::Dut> make_dut(DutKind kind) {
-  // Gate DUTs run on the lane count selected with --threads; the sweep is
-  // deterministic, so the counters below are identical for every value.
   // --backend compiled selects the bytecode engine via the factory (the
   // RTL DUT has no gate engine and ignores the flag).
-  hdlsim::GateSim::Options gate_opts;
-  gate_opts.threads = benchutil::requested_threads();
   std::unique_ptr<hdlsim::Dut> dut;
   switch (kind) {
     case DutKind::kRtl: dut = std::make_unique<hdlsim::RtlDut>(rtl_design()); break;
-    case DutKind::kGateBeh: dut = hdlsim::make_gate_dut(gates_beh(), gate_opts, backend()); break;
-    case DutKind::kGateRtl: dut = hdlsim::make_gate_dut(gates_rtl(), gate_opts, backend()); break;
+    case DutKind::kGateBeh: dut = hdlsim::make_gate_dut(gates_beh(), {}, backend()); break;
+    case DutKind::kGateRtl: dut = hdlsim::make_gate_dut(gates_rtl(), {}, backend()); break;
   }
   if (kind != DutKind::kRtl) {
     dut->set_input("scan_in", 0);
@@ -114,19 +110,6 @@ void report_counters(benchmark::State& state, const hdlsim::SimCounters& c) {
   state.counters["ss_allocs"] = static_cast<double>(c.steady_state_allocs);
 }
 
-// Lane count plus the per-worker sweep shards (multi-lane engines only) —
-// the JSON then shows how the deterministic partition distributed the
-// work, next to the totals it must sum back to.
-void report_workers(benchmark::State& state, const std::vector<hdlsim::WorkerShardStats>& ws) {
-  state.counters["threads"] = static_cast<double>(ws.empty() ? 1 : ws.size());
-  if (ws.size() <= 1) return;
-  for (std::size_t w = 0; w < ws.size(); ++w) {
-    const std::string p = "w" + std::to_string(w);
-    state.counters[p + "_evals"] = static_cast<double>(ws[w].evaluations);
-    state.counters[p + "_pushes"] = static_cast<double>(ws[w].dirty_pushes);
-  }
-}
-
 // DUT construction (netlist copy + simulator build) is setup, not
 // simulation: keep it outside the timed region so cyc_per_s measures the
 // engines, comparable across DUTs of very different construction cost.
@@ -134,7 +117,6 @@ void native_bench(benchmark::State& state, DutKind kind) {
   const auto prog = hdlsim::build_src_testbench(events(), dsp::SrcMode::k44_1To48);
   std::uint64_t cycles = 0, tb_instructions = 0;
   hdlsim::SimCounters last{};
-  std::vector<hdlsim::WorkerShardStats> workers;
   for (auto _ : state) {
     state.PauseTiming();
     auto dut = make_dut(kind);
@@ -144,7 +126,6 @@ void native_bench(benchmark::State& state, DutKind kind) {
     cycles += r.cycles;
     tb_instructions += r.instructions_executed;
     last = r.dut_counters;
-    workers = dut->worker_stats();
   }
   state.counters["cyc_per_s"] =
       benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
@@ -153,13 +134,11 @@ void native_bench(benchmark::State& state, DutKind kind) {
       static_cast<double>(cycles) * patterns_per_cycle(kind), benchmark::Counter::kIsRate);
   state.counters["tb_instr"] = static_cast<double>(tb_instructions);
   report_counters(state, last);
-  report_workers(state, workers);
 }
 
 void cosim_bench(benchmark::State& state, DutKind kind) {
   std::uint64_t cycles = 0, syncs = 0;
   hdlsim::SimCounters last{};
-  std::vector<hdlsim::WorkerShardStats> workers;
   for (auto _ : state) {
     state.PauseTiming();
     auto dut = make_dut(kind);
@@ -171,7 +150,6 @@ void cosim_bench(benchmark::State& state, DutKind kind) {
     cycles += r.cycles;
     syncs += r.syncs;
     last = r.dut_counters;
-    workers = r.dut_workers;
   }
   state.counters["cyc_per_s"] =
       benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
@@ -180,7 +158,6 @@ void cosim_bench(benchmark::State& state, DutKind kind) {
       static_cast<double>(cycles) * patterns_per_cycle(kind), benchmark::Counter::kIsRate);
   state.counters["syncs"] = static_cast<double>(syncs);
   report_counters(state, last);
-  report_workers(state, workers);
 }
 
 void Fig9_RTL_VhdlTestbench(benchmark::State& s) { native_bench(s, DutKind::kRtl); }

@@ -8,8 +8,8 @@
 // benchmark context, so emitted BENCH_*.json artifacts are attributable.
 //
 // Also understands `--threads N` (or `--threads=N`): the worker-lane
-// count the simulator benches pass to the parallel gate engine and the
-// sharded batch runner (0 = one lane per hardware thread, default 1).
+// count the simulator benches pass to the sharded batch runner (0 = one
+// lane per hardware thread, default 1).
 //
 // `--backend NAME` selects the gate-simulation engine for benches that
 // support both ("interpreted" = event-driven GateSim, "compiled" =

@@ -21,8 +21,7 @@ SKIP_SANITIZE=0
 RAN_PASSES=()
 
 echo "== tier-1: configure + build + ctest (build/) =="
-# Warnings are errors on this lane (the sanitizer lanes below keep the
-# default flags).
+# Warnings are errors on this lane and on the sanitizer lanes below.
 cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
@@ -121,7 +120,7 @@ if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitize passes skipped (--skip-sanitize) =="
 else
   echo "== sanitize: ASan+UBSan configure + build + ctest (build-asan/) =="
-  cmake -B build-asan -S . -DSCFLOW_SANITIZE=ON >/dev/null
+  cmake -B build-asan -S . -DSCFLOW_SANITIZE=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build-asan -j"$JOBS"
   # halt_on_error keeps UBSan findings fatal so ctest actually fails on them.
   UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
@@ -129,16 +128,16 @@ else
   RAN_PASSES+=("ASan+UBSan")
 
   echo "== sanitize: TSan build + threaded simulator tests (build-tsan/) =="
-  # Only the targets that exercise the worker pool / parallel sweep are
-  # built and run (directly, not via ctest: gtest_discover_tests would
+  # Only the targets that exercise the worker pools (batch runner, fault
+  # campaigns, serve lanes) and the simulators they share are built and run (directly, not via ctest: gtest_discover_tests would
   # re-register the whole suite for a partial build).  The cosim tests are
   # excluded — the minisc kernel's ucontext fibers are outside TSan's
   # supported threading model.
-  cmake -B build-tsan -S . -DSCFLOW_SANITIZE=thread >/dev/null
+  cmake -B build-tsan -S . -DSCFLOW_SANITIZE=thread -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build-tsan -j"$JOBS" --target \
-    test_gate_parallel test_gate_level test_gate_alloc test_fault \
+    test_batch_runner test_gate_level test_gate_alloc test_fault \
     test_ppsfp test_fuzz_equivalence test_compiled_sim test_serve test_resilience
-  for t in test_gate_parallel test_gate_level test_gate_alloc; do
+  for t in test_batch_runner test_gate_level test_gate_alloc; do
     echo "-- TSan: $t"
     TSAN_OPTIONS=halt_on_error=1 "build-tsan/tests/$t"
   done
@@ -169,7 +168,7 @@ else
   echo "-- TSan: test_resilience"
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_resilience
   # The fuzz oracle suite is heavyweight under TSan; one shard (125 random
-  # netlists, random lane counts) keeps the race coverage without the cost.
+  # netlists) keeps the coverage without the cost.
   echo "-- TSan: test_fuzz_equivalence (shard 0)"
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_fuzz_equivalence \
     --gtest_filter='Shards/GateFuzzTableVsReference.*/0'

@@ -7,9 +7,8 @@
 // always participates as lane 0, so `ThreadPool(n)` yields `n + 1` lanes —
 // a pool of zero workers degrades to a plain inline call.
 //
-// Used by the gate simulator's level-parallel settle sweep (one round per
-// wide level) and by the sharded batch runner (one round per batch), both
-// of which must stay allocation-free once warm.
+// Used by the sharded batch runner (one round per batch), which must stay
+// allocation-free once warm.
 #pragma once
 
 #include <condition_variable>

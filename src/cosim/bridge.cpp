@@ -110,7 +110,6 @@ CosimResult run_cosim(hdlsim::Dut& dut, dsp::SrcMode mode,
   r.cycles = bridge.dut_cycles();
   r.syncs = bridge.sync_count();
   r.dut_counters = dut.counters();
-  r.dut_workers = dut.worker_stats();
   return r;
 }
 
@@ -118,12 +117,6 @@ void CosimResult::record_into(scflow::obs::Registry& reg, std::string_view prefi
   const std::string p(prefix);
   minisc::record_stats(reg, p + ".kernel", kernel_stats);
   dut_counters.record_into(reg, p + ".dut");
-  // Shards only when the engine actually ran multi-lane: a single-lane
-  // report would just duplicate the totals above.
-  if (dut_workers.size() > 1) {
-    for (std::size_t w = 0; w < dut_workers.size(); ++w)
-      dut_workers[w].record_into(reg, p + ".dut.worker" + std::to_string(w));
-  }
   reg.set_counter(p + ".bridge.syncs", syncs);
   reg.set_counter(p + ".bridge.dut_cycles", cycles);
 }

@@ -57,16 +57,12 @@ struct CosimResult {
   std::uint64_t cycles = 0;
   std::uint64_t syncs = 0;
   hdlsim::SimCounters dut_counters;
-  /// Per-worker sweep shards of a parallel DUT engine (empty when the DUT
-  /// engine is single-threaded); shard sums reproduce dut_counters totals.
-  std::vector<hdlsim::WorkerShardStats> dut_workers;
   /// DUT evaluations, derived from the one SimCounters copy so it cannot
   /// drift from dut_counters.evaluations.
   [[nodiscard]] std::uint64_t dut_work_units() const { return dut_counters.evaluations; }
 
   /// Records the whole result — kernel stats under "<prefix>.kernel.*",
-  /// DUT counters under "<prefix>.dut.*" (plus "<prefix>.dut.worker<k>.*"
-  /// shards when the DUT ran multi-lane), bridge sync counts under
+  /// DUT counters under "<prefix>.dut.*", bridge sync counts under
   /// "<prefix>.bridge.*" — into the unified registry.
   void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 };

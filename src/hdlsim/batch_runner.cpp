@@ -104,9 +104,8 @@ void BatchRunner::record_into(obs::Session& session, std::string_view prefix,
 std::vector<GateRunResult> run_src_netlist_batch(
     const nl::Netlist& netlist, dsp::SrcMode mode,
     const std::vector<std::vector<dsp::SrcEvent>>& schedules,
-    GateSim::Options options, unsigned threads, obs::Session* session,
+    const GateSim::Options& options, unsigned threads, obs::Session* session,
     std::uint64_t job_timeout_ns, Backend backend) {
-  options.threads = 1;  // parallelism comes from the batch axis
   std::vector<GateRunResult> results(schedules.size());
   BatchRunner runner(threads);
   runner.set_job_budget_ns(job_timeout_ns);

@@ -1,9 +1,10 @@
 // Sharded batch runner: fans a set of independent DUT simulations across
-// a persistent worker pool.  Where the in-simulator level sweep splits a
-// single netlist's work (fine grain, see gate_sim.hpp), this splits whole
-// simulations (coarse grain) — the profitable axis for sweep-style
-// workloads like the Fig. 9 schedule matrix, since jobs share nothing and
-// never synchronise mid-run.
+// a persistent worker pool.  It is the simulators' one parallel axis:
+// each engine (GateSim, CompiledSim, the RTL interpreter) runs a single
+// simulation sequentially, and the runner splits whole simulations
+// (coarse grain) — the profitable axis for sweep-style workloads like the
+// Fig. 9 schedule matrix, since jobs share nothing and never synchronise
+// mid-run.
 //
 // Determinism: every job writes only its own preallocated result slot, so
 // the result vector is identical for any thread count and any claiming
@@ -44,9 +45,8 @@ struct BatchJobStat {
 
 class BatchRunner {
  public:
-  /// Same thread semantics as GateSim::Options::threads: 1 = run jobs
-  /// inline on the caller, N > 1 = pool of N-1 workers plus the caller,
-  /// 0 = one lane per hardware thread.
+  /// @p threads lanes: 1 = run jobs inline on the caller, N > 1 = pool of
+  /// N-1 workers plus the caller, 0 = one lane per hardware thread.
   explicit BatchRunner(unsigned threads);
   BatchRunner(const BatchRunner&) = delete;
   BatchRunner& operator=(const BatchRunner&) = delete;
@@ -105,8 +105,8 @@ class BatchRunner {
 
 /// Runs one schedule per job over @p netlist (each job its own sequential
 /// GateSim — parallelism comes from the batch axis), results in schedule
-/// order.  @p options applies to every DUT except `threads`, which is
-/// forced to 1 inside jobs; @p threads picks the batch lane count.  When
+/// order.  @p options applies to every DUT; @p threads picks the batch
+/// lane count.  When
 /// @p session is given, job slices and counters are recorded under
 /// "gate_batch".  With @p job_timeout_ns, each job's simulation winds
 /// down once its wall budget expires (GateRunResult::timed_out and the
@@ -117,7 +117,7 @@ class BatchRunner {
 std::vector<GateRunResult> run_src_netlist_batch(
     const nl::Netlist& netlist, dsp::SrcMode mode,
     const std::vector<std::vector<dsp::SrcEvent>>& schedules,
-    GateSim::Options options, unsigned threads, obs::Session* session = nullptr,
+    const GateSim::Options& options, unsigned threads, obs::Session* session = nullptr,
     std::uint64_t job_timeout_ns = 0, Backend backend = Backend::kInterpreted);
 
 }  // namespace scflow::hdlsim

@@ -163,7 +163,6 @@ class CompiledSim {
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
   [[nodiscard]] std::uint64_t gate_evaluations() const { return counters_.evaluations; }
   [[nodiscard]] const SimCounters& counters() const { return counters_; }
-  [[nodiscard]] std::vector<WorkerShardStats> worker_stats() const { return {}; }
 
   [[nodiscard]] bool four_state() const { return options_.four_state; }
   [[nodiscard]] const CompiledProgram& program() const { return prog_; }

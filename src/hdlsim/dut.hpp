@@ -35,9 +35,6 @@ class Dut {
   /// Engine observability counters; engines that track fewer dimensions
   /// leave the remaining fields at zero.
   [[nodiscard]] virtual SimCounters counters() const { return {}; }
-  /// Per-worker sweep shards for engines with a parallel evaluation core;
-  /// single-threaded engines return an empty vector.
-  [[nodiscard]] virtual std::vector<WorkerShardStats> worker_stats() const { return {}; }
 };
 
 /// Gate netlist under the event-driven 4-value simulator.  Owns its
@@ -67,7 +64,6 @@ class GateDut final : public Dut {
   }
   std::uint64_t work_units() const override { return sim_.gate_evaluations(); }
   SimCounters counters() const override { return sim_.counters(); }
-  std::vector<WorkerShardStats> worker_stats() const override { return sim_.worker_stats(); }
   GateSim& sim() { return sim_; }
 
  private:
@@ -116,8 +112,8 @@ class CompiledDut final : public Dut {
 /// Builds a gate DUT on the selected backend.  The compiled backend has no
 /// checking RAM model and no reference evaluator, so options requesting
 /// either fall back to the interpreter (as does Backend::kInterpreted
-/// itself); `options.threads` only applies to the interpreter's parallel
-/// sweep — the compiled engine's parallelism is its 64 pattern lanes.
+/// itself).  Both engines simulate sequentially; the compiled engine's
+/// 64 pattern lanes are bit-parallel within one thread.
 inline std::unique_ptr<Dut> make_gate_dut(nl::Netlist netlist,
                                           const GateSim::Options& options,
                                           Backend backend) {

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
 
-#include "core/thread_pool.hpp"
 #include "dtypes/bit_int.hpp"
 
 namespace scflow::hdlsim {
@@ -60,13 +58,6 @@ const std::uint8_t* cell_luts() {
 }
 
 }  // namespace
-
-// Context of one parallel sweep round: the level's word range, cut into
-// one contiguous chunk per lane.
-struct GateSim::SweepJob {
-  GateSim* self;
-  std::uint32_t wb, we, chunk;
-};
 
 GateSim::GateSim(const nl::Netlist& netlist, Options options)
     : nl_(&netlist), options_(options) {
@@ -181,10 +172,8 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
   out_cache_.assign(out_ports.size(), {});
   const auto build_fanout = [&] {
     fanout_offsets_.assign(static_cast<std::size_t>(nl_->net_count()) + 1, 0);
-    for (const Unit& u : units_) {
-      if (u.type == kPadUnit) continue;
+    for (const Unit& u : units_)
       for_each_unit_input(u, [&](NetId n) { ++fanout_offsets_[static_cast<std::size_t>(n) + 1]; });
-    }
     for (const FlopRec& f : flops_)
       for_each_flop_input(f, [&](NetId n) { ++fanout_offsets_[static_cast<std::size_t>(n) + 1]; });
     for (const nl::PortBits& p : out_ports)
@@ -193,12 +182,10 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
       fanout_offsets_[i] += fanout_offsets_[i - 1];
     fanout_targets_.assign(fanout_offsets_.back(), 0);
     std::vector<std::uint32_t> cur(fanout_offsets_.begin(), fanout_offsets_.end() - 1);
-    for (std::size_t ui = 0; ui < units_.size(); ++ui) {
-      if (units_[ui].type == kPadUnit) continue;
+    for (std::size_t ui = 0; ui < units_.size(); ++ui)
       for_each_unit_input(units_[ui], [&](NetId n) {
         fanout_targets_[cur[static_cast<std::size_t>(n)]++] = static_cast<std::uint32_t>(ui);
       });
-    }
     fanout_unit_end_ = cur;  // flop and output-port taps fill in after this
     for (std::size_t fi = 0; fi < flops_.size(); ++fi)
       for_each_flop_input(flops_[fi], [&](NetId n) {
@@ -215,8 +202,8 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
   // Levelise with one Kahn pass over the unit graph (cells were already
   // cycle-checked by combinational_topo_order; this also covers cycles
   // that thread through a macro read port).  Every unit's drivers sit at
-  // strictly lower levels — the property the (parallel) level sweep rests
-  // on: within a level, units read only already-settled nets.
+  // strictly lower levels — the property the ascending sweep rests on:
+  // every unit's inputs settle before its index is reached.
   std::vector<std::int32_t> level(units_.size(), 0);
   {
     std::vector<std::uint32_t> indeg(units_.size(), 0);
@@ -263,40 +250,25 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
     }
   }
 
-  // Reorder units by (level, creation order), padding each level to a
-  // 64-unit boundary so every level owns whole dirty-bitmap words — the
-  // invariant that lets the sweep hand a level's words to parallel lanes
-  // without masks or cross-level word sharing.  Then rebuild the macro
-  // port map and the fanout CSR against the final indices.
+  // Reorder units by (level, creation order), record where each level
+  // starts, then rebuild the macro port map and the fanout CSR against
+  // the final indices.
   {
     std::vector<std::uint32_t> perm(units_.size());
     for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<std::uint32_t>(i);
     std::stable_sort(perm.begin(), perm.end(), [&level](std::uint32_t a, std::uint32_t b) {
       return level[a] < level[b];
     });
-    Unit pad;
-    pad.in[0] = pad.in[1] = pad.in[2] = sentinel;
-    pad.out = sentinel;
-    pad.type = kPadUnit;
     std::vector<Unit> new_units;
-    new_units.reserve((units_.size() / 64 + 8) * 64);
+    new_units.reserve(units_.size());
     std::vector<std::uint32_t> old_to_new(units_.size());
-    const auto pad_to_word = [&] {
-      while (new_units.size() % 64 != 0) new_units.push_back(pad);
-    };
-    level_word_begin_.push_back(0);
-    std::int32_t cur_level = perm.empty() ? 0 : level[perm[0]];
     for (const std::uint32_t oi : perm) {
-      if (level[oi] != cur_level) {
-        pad_to_word();
-        level_word_begin_.push_back(static_cast<std::uint32_t>(new_units.size() / 64));
-        cur_level = level[oi];
-      }
-      old_to_new[oi] = static_cast<std::uint32_t>(new_units.size());
+      const auto ni = static_cast<std::uint32_t>(new_units.size());
+      if (ni == 0 || level[oi] != level[perm[ni - 1]]) level_begin_.push_back(ni);
+      old_to_new[oi] = ni;
       new_units.push_back(units_[oi]);
     }
-    pad_to_word();
-    level_word_begin_.push_back(static_cast<std::uint32_t>(new_units.size() / 64));
+    level_begin_.push_back(static_cast<std::uint32_t>(new_units.size()));
     units_ = std::move(new_units);
     for (MacroState& ms : macros_)
       for (std::uint32_t& ui : ms.port_unit) ui = old_to_new[ui];
@@ -304,35 +276,16 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
   }
 
   luts_ = cell_luts();
-  dirty_words_.assign(units_.size() / 64, 0);
+  dirty_words_.assign((units_.size() + 63) / 64, 0);
 
-  // Sweep lanes: one per resolved thread; the pool holds the rest of the
-  // lanes beyond the calling thread.  Deferred-macro scratch is reserved
-  // up front so the steady state never allocates.
-  const unsigned lanes = core::ThreadPool::workers_for(options_.threads) + 1;
-  lanes_ = std::vector<Lane>(lanes);
-  for (Lane& l : lanes_) l.deferred_macros.reserve(macro_ports_.size());
-  if (lanes > 1) pool_ = std::make_unique<core::ThreadPool>(lanes - 1);
-
-  // Initial state: flop outputs to init (or X), every real unit and flop
-  // dirty once (padding units stay permanently unmarked).
+  // Initial state: flop outputs to init (or X), every unit and flop dirty
+  // once.
   for (const FlopRec& f : flops_)
     values_[static_cast<std::size_t>(f.out)] =
         options_.x_initial_flops ? Logic::X : scflow::logic_from_bool(f.init != 0);
-  for (std::size_t t = 0; t < units_.size(); ++t)
-    if (units_[t].type != kPadUnit) mark_target_dirty(static_cast<std::uint32_t>(t));
-  for (std::size_t fi = 0; fi < flops_.size(); ++fi)
-    mark_target_dirty(static_cast<std::uint32_t>(units_.size() + fi));
+  for (std::size_t t = 0; t < units_.size() + flops_.size(); ++t)
+    mark_target_dirty(static_cast<std::uint32_t>(t));
   note_queue_peak();
-}
-
-GateSim::~GateSim() = default;
-
-std::vector<WorkerShardStats> GateSim::worker_stats() const {
-  std::vector<WorkerShardStats> out;
-  out.reserve(lanes_.size());
-  for (const Lane& l : lanes_) out.push_back(l.total);
-  return out;
 }
 
 void GateSim::set_net(NetId net, Logic v) {
@@ -485,8 +438,8 @@ void GateSim::eval_macro_port(const Unit& u) {
             defined ? scflow::logic_from_bool(((word >> i) & 1u) != 0) : Logic::X);
 }
 
-template <bool Atomic>
-void GateSim::sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane) {
+void GateSim::settle() {
+  ++counters_.settle_calls;
   // Everything the inner loop touches is hoisted into locals: stores into
   // dirty_words_ are std::uint64_t writes, so member counters of the same
   // type would otherwise be reloaded around every mark.
@@ -499,31 +452,48 @@ void GateSim::sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane) {
   std::uint64_t* const fdw = flop_dirty_words_.data();
   OutCache* const oc = out_cache_.data();
   const std::uint8_t* const luts = luts_;
+  const auto n_words = static_cast<std::uint32_t>(dirty_words_.size());
   const auto n_units = static_cast<std::uint32_t>(units_.size());
   const auto n_flops = static_cast<std::uint32_t>(flops_.size());
   const bool ref_eval = options_.use_reference_eval;
   const std::uint32_t stuck = stuck_net_;  // kNoStuckNet when fault-free
-  std::uint64_t evals = lane.evals, pushes = lane.pushes;
-  for (std::uint32_t wi = wb; wi < we; ++wi) {
-    std::uint64_t bits = dw[wi];
-    if (bits == 0) continue;
-    // The caller owns [wb, we) exclusively for the duration of the level,
-    // and evaluating an in-level unit marks only *later* levels' words, so
-    // a plain read-and-clear consume is race-free even in the atomic
-    // instantiation — one pass per word, no re-read loop.
-    dw[wi] = 0;
-    do {
-      const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const std::uint32_t ui = (wi << 6) | b;
+  // Level tracking for the peak_queue_depth sample: the pass enters a new
+  // level when it reaches a unit at or past level_end.  The last
+  // level_begin_ entry is n_units, so the scan below always stops.
+  const std::uint32_t* next_level = level_begin_.data();
+  std::uint32_t level_end = 0;
+  std::uint64_t evals = 0, pushes = 0;
+  const auto flush_counts = [&] {
+    counters_.evaluations += evals;
+    counters_.dirty_pushes += pushes;
+    queued_now_ = queued_now_ + pushes - evals;
+    evals = 0;
+    pushes = 0;
+  };
+  for (std::uint32_t wi = 0; wi < n_words; ++wi) {
+    // One bit at a time from the live word: a word holds several levels,
+    // so evaluating a unit may mark a later bit of the word being swept.
+    // Marks only ever land at higher indices, so the lowest set bit is
+    // always the next unit due.
+    std::uint64_t bits;
+    while ((bits = dw[wi]) != 0) {
+      dw[wi] = bits & (bits - 1);
+      const std::uint32_t ui = (wi << 6) | static_cast<unsigned>(std::countr_zero(bits));
+      if (ui >= level_end) [[unlikely]] {
+        // Entering a new level: every earlier level is settled, so the
+        // queue holds exactly the marks for this level and those above
+        // (ui's bit is consumed but not yet counted as evaluated).
+        flush_counts();
+        note_queue_peak();
+        while (*next_level <= ui) ++next_level;
+        level_end = *next_level;
+      }
       const Unit& u = units[ui];
       ++evals;
-      if (u.type >= kPadUnit) [[unlikely]] {
-        // Macro read ports defer to the calling thread at the level
-        // boundary (sequential RAM-violation bookkeeping); the consumed
-        // bit still counts as this lane's work unit.  Padding units are
-        // never marked; the branch only guards against corruption.
-        if (u.type == kMacroUnit) lane.deferred_macros.push_back(ui);
+      if (u.type == kMacroUnit) [[unlikely]] {
+        // Macro read ports evaluate in place, in unit order; their marks
+        // go through mark_target_dirty and count on the members directly.
+        eval_macro_port(u);
         continue;
       }
       Logic out;
@@ -555,117 +525,34 @@ void GateSim::sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane) {
       // exactly like a driven value.
       if (outn == stuck) [[unlikely]]
         out = stuck_value_;
-      // Change detection: the output net belongs to this unit alone, so
-      // the read-compare-write is private even mid-round.
       Logic& slot = vals[outn];
       if (slot == out) continue;
       slot = out;
       // Unit targets (branchless marking), then the usually-empty flop
-      // tap tail of this net's CSR range.  Atomic lanes publish marks
-      // with relaxed fetch_or — the pool join orders them before any
-      // reader — and claim the fresh 0->1 transition exactly once, which
-      // keeps the summed dirty_pushes identical to the sequential count.
+      // tap tail of this net's CSR range.
       std::uint32_t k = fo[outn];
       const std::uint32_t fm = fu[outn];
       const std::uint32_t fe = fo[outn + 1];
       for (; k < fm; ++k) {
         const std::uint32_t t = ft[k];
+        std::uint64_t& w = dw[t >> 6];
         const std::uint64_t m = std::uint64_t{1} << (t & 63u);
-        if constexpr (Atomic) {
-          const std::uint64_t prev =
-              std::atomic_ref<std::uint64_t>(dw[t >> 6]).fetch_or(m, std::memory_order_relaxed);
-          pushes += (prev & m) == 0 ? 1u : 0u;
-        } else {
-          std::uint64_t& w = dw[t >> 6];
-          pushes += (w & m) == 0 ? 1u : 0u;
-          w |= m;
-        }
+        pushes += (w & m) == 0 ? 1u : 0u;
+        w |= m;
       }
       for (; k < fe; ++k) {
         const std::uint32_t x = ft[k] - n_units;
         if (x < n_flops) {
-          const std::uint64_t m = std::uint64_t{1} << (x & 63u);
-          if constexpr (Atomic)
-            std::atomic_ref<std::uint64_t>(fdw[x >> 6]).fetch_or(m, std::memory_order_relaxed);
-          else
-            fdw[x >> 6] |= m;
+          fdw[x >> 6] |= std::uint64_t{1} << (x & 63u);
         } else {
-          if constexpr (Atomic)
-            std::atomic_ref<bool>(oc[x - n_flops].dirty).store(true, std::memory_order_relaxed);
-          else
-            oc[x - n_flops].dirty = true;
+          oc[x - n_flops].dirty = true;
         }
       }
-    } while (bits != 0);
+    }
   }
-  lane.evals = evals;
-  lane.pushes = pushes;
-}
-
-void GateSim::settle() {
-  ++counters_.settle_calls;
-  bool worked = false;
-  const std::size_t n_levels = level_word_begin_.size() - 1;
-  const auto n_lanes = static_cast<std::uint32_t>(lanes_.size());
-  for (std::size_t L = 0; L < n_levels; ++L) {
-    const std::uint32_t wb = level_word_begin_[L];
-    const std::uint32_t we = level_word_begin_[L + 1];
-    if (pool_ == nullptr) {
-      // Sequential: sweep the level in place (clean words cost one load).
-      sweep_words<false>(wb, we, lanes_[0]);
-      if (lanes_[0].evals == 0) continue;
-      ++lanes_[0].total.level_sweeps;
-    } else {
-      // Pre-scan decides dispatch.  It reads only the dirty state, so the
-      // decision — and everything downstream of it — is a pure function
-      // of the simulation history, not of scheduling.
-      std::uint32_t nz = 0;
-      for (std::uint32_t wi = wb; wi < we; ++wi) nz += dirty_words_[wi] != 0 ? 1u : 0u;
-      if (nz == 0) continue;
-      if (nz >= 2 * n_lanes) {
-        SweepJob job{this, wb, we, (we - wb + n_lanes - 1) / n_lanes};
-        pool_->run(
-            [](void* ctx, unsigned lane) {
-              auto* j = static_cast<SweepJob*>(ctx);
-              const std::uint32_t b = j->wb + static_cast<std::uint32_t>(lane) * j->chunk;
-              if (b >= j->we) return;
-              const std::uint32_t e = std::min(j->we, b + j->chunk);
-              j->self->sweep_words<true>(b, e, j->self->lanes_[lane]);
-            },
-            &job);
-        for (Lane& l : lanes_) ++l.total.level_sweeps;
-      } else {
-        sweep_words<false>(wb, we, lanes_[0]);
-        ++lanes_[0].total.level_sweeps;
-      }
-    }
-    worked = true;
-    // Merge the lanes' level transients into the canonical counters.  Lane
-    // order is fixed, so the sums — and thus every reported counter — are
-    // identical no matter how the words were partitioned.
-    std::uint64_t consumed = 0;
-    for (Lane& l : lanes_) {
-      consumed += l.evals;
-      counters_.evaluations += l.evals;
-      counters_.dirty_pushes += l.pushes;
-      queued_now_ += l.pushes;
-      l.total.evaluations += l.evals;
-      l.total.dirty_pushes += l.pushes;
-      l.evals = 0;
-      l.pushes = 0;
-    }
-    queued_now_ -= consumed;
-    // Deferred macro read ports, in ascending unit order (each lane's
-    // chunk is an ascending contiguous word range, and lanes are visited
-    // in chunk order) — exactly the order the sequential sweep evaluates
-    // them in, so RAM-violation "first" bookkeeping matches bit for bit.
-    for (Lane& l : lanes_) {
-      for (const std::uint32_t ui : l.deferred_macros) eval_macro_port(units_[ui]);
-      l.deferred_macros.clear();
-    }
-    note_queue_peak();
-  }
-  if (worked) ++counters_.settle_passes;
+  // The last level leaves nothing queued, so there is no peak to sample.
+  flush_counts();
+  if (level_end != 0) ++counters_.settle_passes;
 }
 
 void GateSim::step() {
@@ -767,7 +654,6 @@ void GateSim::step() {
       }
     }
     counters_.dirty_pushes += pushes;
-    lanes_[0].total.dirty_pushes += pushes;  // calling-thread marks: lane 0
     queued_now_ = qnow;
     note_queue_peak();
   }

@@ -8,22 +8,19 @@
 // are 2-bit codes, every 0–3-input cell is one lookup in a precomputed
 // 64-entry truth table, fanout lives in a CSR (offsets + targets) layout,
 // input nets sit inline in each 10-byte evaluation unit, and the dirty
-// set is a bitmap swept one topological level at a time.
+// set is a bitmap over units stored in (level, creation) order.
 //
-// The level sweep is (optionally) parallel and always deterministic:
-// units are laid out so every level owns whole 64-bit dirty words, a
-// level's words are partitioned across a persistent worker pool, and
-// next-level dirty bits are set with relaxed atomic-OR.  Within a level
-// every unit reads only strictly-lower-level nets and writes only its own
-// output net, so the evaluated set, the output values and the counters
-// (evaluations / dirty_pushes / ram_rereads / peak_queue_depth) are
-// bit-identical for every thread count, including 1.
+// settle() is one sequential ascending pass over that bitmap.  Every
+// unit's drivers sit at strictly lower levels, so evaluating a unit can
+// only mark units at higher indices: one forward sweep evaluates each
+// dirty unit exactly once per settle, after all of its inputs.  The
+// engine is single-threaded; parallelism lives outside it, in
+// BatchRunner's independent simulations.
 // The original switch-based evaluator is retained behind
 // Options::use_reference_eval as the differential-testing oracle.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,10 +28,6 @@
 #include "dtypes/logic.hpp"
 #include "hdlsim/sim_counters.hpp"
 #include "netlist/netlist.hpp"
-
-namespace scflow::core {
-class ThreadPool;
-}
 
 namespace scflow::hdlsim {
 
@@ -51,11 +44,6 @@ class GateSim {
     /// instead of the packed truth-table LUTs.  Slower; kept as the
     /// reference oracle for the fuzz-equivalence tests.
     bool use_reference_eval = false;
-    /// Worker lanes for the level sweep: 1 = fully sequential (no pool),
-    /// N > 1 = persistent pool of N-1 workers plus the calling thread,
-    /// 0 = one lane per hardware thread.  Results and counters are
-    /// bit-identical for every value.
-    unsigned threads = 1;
   };
 
   struct RamViolation {
@@ -69,7 +57,6 @@ class GateSim {
   GateSim(const nl::Netlist& netlist, Options options);
   GateSim(const GateSim&) = delete;
   GateSim& operator=(const GateSim&) = delete;
-  ~GateSim();
 
   /// Resolved port handles: look the name up once, then drive/read the
   /// port every cycle without the string-keyed map lookup.
@@ -133,14 +120,6 @@ class GateSim {
   [[nodiscard]] std::uint64_t gate_evaluations() const { return counters_.evaluations; }
   [[nodiscard]] const SimCounters& counters() const { return counters_; }
 
-  /// Lanes the level sweep runs on (>= 1; resolved from Options::threads).
-  [[nodiscard]] unsigned threads() const { return static_cast<unsigned>(lanes_.size()); }
-  /// Per-lane shard of the sweep work (cumulative), for the obs worker
-  /// tracks.  Shard *sums* equal the SimCounters totals; the per-lane split
-  /// depends on the dirty-word partition, not on scheduling, so it is as
-  /// deterministic as the totals.
-  [[nodiscard]] std::vector<WorkerShardStats> worker_stats() const;
-
  private:
   struct MacroState {
     const nl::MacroInfo* info = nullptr;
@@ -167,19 +146,16 @@ class GateSim {
   // 10 bytes, with the (≤3) input nets inline as 16-bit ids (the
   // constructor rejects netlists with ≥2^16 nets), so six units share
   // each cache line the settle() sweep walks.  Unused input slots point at
-  // the sentinel net (index net_count), which is never written — so the
-  // branchless 3-slot read can never race a same-level writer.
-  // After construction the index order IS (level, creation) order, with
-  // each level padded to a 64-unit boundary so it owns whole dirty words.
+  // the sentinel net (index net_count), which is never written, so the
+  // 3-slot read needs no arity branch.
+  // After construction the index order IS (level, creation) order.
   struct Unit {
     std::uint16_t in[3] = {0, 0, 0};  // cell input nets (unused: sentinel)
     std::uint16_t out = 0;            // cell output net | macro_ports_ index
-    std::uint8_t type = 0;            // nl::CellType, kMacroUnit or kPadUnit
+    std::uint8_t type = 0;            // nl::CellType or kMacroUnit
     std::uint8_t n_inputs = 0;
   };
   static constexpr std::uint8_t kMacroUnit = 0xff;
-  // Level-alignment filler: never marked dirty, never evaluated.
-  static constexpr std::uint8_t kPadUnit = 0xfe;
 
   struct FlopRec {
     nl::NetId d = nl::kNoNet, si = nl::kNoNet, se = nl::kNoNet;
@@ -188,29 +164,7 @@ class GateSim {
     int init = 0;
   };
 
-  // Per-lane sweep state, cache-line separated.  `evals`/`pushes` are the
-  // current level's transients, merged into the member counters at each
-  // level boundary; `total` accumulates per-lane work for worker_stats().
-  struct alignas(64) Lane {
-    std::uint64_t evals = 0;
-    std::uint64_t pushes = 0;
-    // Macro read ports found dirty this level (ascending unit index):
-    // evaluated by the calling thread after the lane barrier so the RAM
-    // violation bookkeeping stays sequential and deterministic.
-    std::vector<std::uint32_t> deferred_macros;
-    WorkerShardStats total;
-  };
-
-  struct SweepJob;  // parallel-round context (defined in the .cpp)
-
   void eval_macro_port(const Unit& u);
-  /// Sweeps the dirty words of one level: consumes this level's bits (the
-  /// caller guarantees exclusive ownership of [wb, we)), evaluates cells
-  /// in place and defers macro ports into @p lane.  Atomic lanes mark
-  /// descendant levels with relaxed atomic-OR; the sequential instantiation
-  /// uses plain loads/stores.  Both count identically.
-  template <bool Atomic>
-  void sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane);
   void set_net(nl::NetId net, scflow::Logic v);
   void mark_dirty_fanout(nl::NetId net);
   /// CSR target: unit index, or n_units + flop index for flop D/SI/SE taps.
@@ -232,9 +186,6 @@ class GateSim {
     if ((w & m) != 0) return;
     w |= m;
     ++counters_.dirty_pushes;
-    // External marks always run on the calling thread — lane 0 — so the
-    // per-lane shard sums reproduce the dirty_pushes total exactly.
-    ++lanes_[0].total.dirty_pushes;
     ++queued_now_;
   }
   void note_queue_peak() {
@@ -251,7 +202,7 @@ class GateSim {
   // never written; unused unit input slots read it.
   std::vector<scflow::Logic> values_;
 
-  std::vector<Unit> units_;             // (level, creation) order, level-padded
+  std::vector<Unit> units_;             // (level, creation) order
   const std::uint8_t* luts_ = nullptr;  // flat 16x64 truth tables
   // Fanout in CSR form: one offsets array per net, one flat target array.
   // Targets < units_.size() are evaluation units; larger targets encode
@@ -265,13 +216,13 @@ class GateSim {
   // last; this is the boundary, so the hot sweep walks each sub-range
   // without a per-target range test.
   std::vector<std::uint32_t> fanout_unit_end_;
-  // Dirty set as a bitmap over unit indices.  Units are level-sorted and
-  // level-padded, so word range [level_word_begin_[L], level_word_begin_[L+1])
-  // belongs to level L alone; evaluating a level-L unit can only set bits
-  // in strictly later levels' words.
+  // Dirty set as a bitmap over unit indices, ceil(units / 64) words.
+  // Units are level-sorted, so evaluating a unit can only set bits at
+  // higher indices — possibly later in the word being swept.
   std::vector<std::uint64_t> dirty_words_;
-  // n_levels + 1 word boundaries (last entry = dirty_words_.size()).
-  std::vector<std::uint32_t> level_word_begin_;
+  // First unit index of each level, plus a final entry = units_.size().
+  // Only used to sample peak_queue_depth as settle() enters a level.
+  std::vector<std::uint32_t> level_begin_;
   std::uint64_t queued_now_ = 0;
 
   std::vector<FlopRec> flops_;
@@ -294,9 +245,6 @@ class GateSim {
     bool dirty = true;
   };
   std::vector<OutCache> out_cache_;
-
-  std::vector<Lane> lanes_;  // size = resolved thread count (>= 1)
-  std::unique_ptr<core::ThreadPool> pool_;  // only when threads() > 1
 
   // Active stuck-at overlay: writers compare their output net against this
   // id (kNoStuckNet never matches a 16-bit-encodable net, so the fault-free

@@ -17,11 +17,4 @@ void SimCounters::record_into(scflow::obs::Registry& reg, std::string_view prefi
   reg.set_counter(p + "steady_state_allocs", steady_state_allocs);
 }
 
-void WorkerShardStats::record_into(scflow::obs::Registry& reg, std::string_view prefix) const {
-  const std::string p = std::string(prefix) + ".";
-  reg.set_counter(p + "evaluations", evaluations);
-  reg.set_counter(p + "dirty_pushes", dirty_pushes);
-  reg.set_counter(p + "level_sweeps", level_sweeps);
-}
-
 }  // namespace scflow::hdlsim

@@ -150,10 +150,10 @@ TEST_P(GateFuzzTableVsReference, BitIdenticalOverRandomNetlists) {
     table_opts.x_initial_flops = (rng() & 1) != 0;
     hdlsim::GateSim::Options ref_opts = table_opts;
     ref_opts.use_reference_eval = true;
-    // The parallel level sweep must be invisible: give the table engine a
-    // random lane count (1/2/4) while the switch-based oracle stays
-    // sequential — outputs and counters must still match bit for bit.
-    table_opts.threads = 1u << (rng() % 3);
+    // This draw once picked a sweep lane count for the table engine.  It
+    // stays, unused, so every later draw — and with it the seeded corpus
+    // of netlists and stimulus — is exactly the one the suite always ran.
+    (void)rng();
     hdlsim::GateSim table(n, table_opts);
     hdlsim::GateSim ref(n, ref_opts);
     // Third leg: the compiled bit-parallel backend in four-state mode,

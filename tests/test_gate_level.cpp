@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/run.hpp"
 #include "dsp/stimulus.hpp"
@@ -159,10 +160,10 @@ TEST(SimCounters, TracksTheEventEngineExactly) {
 
   sim.set_input("a", 0);
   sim.set_input("b", 0);
-  // XOR: X->0 at level 0, then INV once at level 1.  The level-padded
+  // XOR: X->0 at level 0, then INV once at level 1.  The level-ordered
   // sweep evaluates each unit at most once per settle: the XOR's re-mark
-  // of the INV lands in the (not yet consumed) level-1 word, where the
-  // INV's construction-time bit is already set — no second push, no
+  // of the INV lands on its (not yet consumed) bit, which the INV's
+  // construction-time mark already set — no second push, no
   // re-evaluation.  evaluations therefore tracks dirty_pushes exactly.
   sim.settle();
   EXPECT_EQ(sim.counters().evaluations, 2u);
@@ -199,6 +200,134 @@ TEST(SimCounters, RamWritesForceReadPortRereads) {
   // run_src_netlist performs one pre-loop settle to read the initial
   // out_valid, so calls lead cycles by exactly one.
   EXPECT_EQ(got.counters.settle_calls, got.cycles + 1);
+}
+
+TEST(GateSimSweep, InverterChainSettlesInOnePassThroughSharedWords) {
+  // 100 inverters in series: 100 topological levels.  The dirty bitmap is
+  // not padded per level, so the chain packs into two 64-bit words, and
+  // each inverter's mark lands later in the word being swept.  The pass
+  // must pick every such mark up in the same settle: one input toggle is
+  // exactly 100 evaluations and 100 pushes, and the output is settled.
+  constexpr unsigned kLen = 100;
+  nl::Netlist n("chain");
+  const nl::NetId a = n.new_net();
+  n.add_input("a", {a});
+  nl::NetId x = a;
+  for (unsigned i = 0; i < kLen; ++i) x = n.add_cell(nl::CellType::kInv, {x});
+  n.add_output("out", {x});
+
+  GateSim sim(n);
+  EXPECT_EQ(sim.counters().dirty_pushes, kLen);
+  EXPECT_EQ(sim.counters().peak_queue_depth, kLen);
+  sim.set_input("a", 0);
+  sim.settle();
+  EXPECT_EQ(sim.counters().evaluations, kLen);
+  EXPECT_EQ(sim.output("out"), 0u);  // even chain length: out == a
+
+  sim.set_input("a", 1);
+  sim.settle();
+  EXPECT_EQ(sim.counters().evaluations, 2 * kLen);
+  EXPECT_EQ(sim.counters().dirty_pushes, 2 * kLen);
+  EXPECT_EQ(sim.counters().settle_passes, 2u);
+  EXPECT_EQ(sim.counters().peak_queue_depth, kLen);
+  EXPECT_EQ(sim.output("out"), 1u);
+}
+
+TEST(GateSimSweep, WideSingleLevelPinsCounters) {
+  // 1200 inverters off one input: a single level spanning 19 dirty words.
+  // Counter values are hand-predictable, which pins the peak_queue_depth
+  // semantics: the high-water mark is sampled per external mark batch and
+  // as the sweep enters each level, never per evaluated unit.
+  constexpr unsigned kInvs = 1200;
+  nl::Netlist n("wide");
+  const nl::NetId a = n.new_net();
+  n.add_input("a", {a});
+  std::vector<nl::NetId> outs;
+  for (unsigned i = 0; i < kInvs; ++i) outs.push_back(n.add_cell(nl::CellType::kInv, {a}));
+  n.add_output("out", {outs[0], outs[kInvs / 2], outs[kInvs - 1]});
+
+  GateSim sim(n);
+  EXPECT_EQ(sim.counters().dirty_pushes, kInvs);      // construction marks all
+  EXPECT_EQ(sim.counters().peak_queue_depth, kInvs);  // batch sample
+  sim.set_input("a", 0);
+  sim.settle();
+  EXPECT_EQ(sim.counters().evaluations, kInvs);
+  sim.set_input("a", 1);  // re-marks every inverter
+  sim.settle();
+  EXPECT_EQ(sim.counters().evaluations, 2 * kInvs);
+  EXPECT_EQ(sim.counters().dirty_pushes, 2 * kInvs);
+  EXPECT_EQ(sim.counters().peak_queue_depth, kInvs);
+  EXPECT_EQ(sim.counters().steady_state_allocs, 0u);
+  EXPECT_EQ(sim.output("out"), 0u);
+}
+
+TEST(GateSimSweep, RamReadPortFeedsACellInTheSameDirtyWord) {
+  // A checking RAM whose read data drives an inverter.  The read port
+  // (level 0) and the inverter (level 1) share dirty word 0, so the port,
+  // evaluated in place, marks the inverter later in the word being swept.
+  nl::Netlist n("ram_word");
+  std::vector<nl::NetId> raddr{n.new_net(), n.new_net()};
+  std::vector<nl::NetId> waddr{n.new_net(), n.new_net()};
+  std::vector<nl::NetId> wdata{n.new_net(), n.new_net(), n.new_net(), n.new_net()};
+  const nl::NetId ren = n.new_net();
+  const nl::NetId wen = n.new_net();
+  n.add_input("raddr", raddr);
+  n.add_input("ren", {ren});
+  n.add_input("waddr", waddr);
+  n.add_input("wdata", wdata);
+  n.add_input("wen", {wen});
+  std::vector<nl::NetId> rdata{n.new_net(), n.new_net(), n.new_net(), n.new_net()};
+  n.add_input("ram_r0_data", rdata);
+  n.add_output("ram_r0_addr", raddr);
+  n.add_output("ram_r0_ren", {ren});
+  n.add_output("ram_waddr", waddr);
+  n.add_output("ram_wdata", wdata);
+  n.add_output("ram_wen", {wen});
+  n.add_output("rdata", rdata);
+  n.add_output("q", {n.add_cell(nl::CellType::kInv, {rdata[0]})});
+  nl::MacroInfo mi;
+  mi.kind = nl::MacroInfo::Kind::kRam;
+  mi.name = "ram";
+  mi.addr_bits = 2;
+  mi.data_bits = 4;
+  mi.read_addr_ports = {"ram_r0_addr"};
+  mi.read_data_ports = {"ram_r0_data"};
+  mi.read_enable_ports = {"ram_r0_ren"};
+  mi.write_addr_port = "ram_waddr";
+  mi.write_data_port = "ram_wdata";
+  mi.write_enable_port = "ram_wen";
+  n.macros.push_back(std::move(mi));
+
+  GateSim::Options opts;
+  opts.check_ram = true;
+  GateSim sim(n, opts);
+  // Cycle 0: write 0xB to slot 1 while the read side is idle.
+  sim.set_input("wen", 1);
+  sim.set_input("waddr", 1);
+  sim.set_input("wdata", 0xB);
+  sim.set_input("ren", 0);
+  sim.set_input("raddr", 0);
+  sim.step();
+  // Cycle 1: read slot 1 back; bit 0 is 1, so q = 0.
+  sim.set_input("wen", 0);
+  sim.set_input("ren", 1);
+  sim.set_input("raddr", 1);
+  sim.settle();
+  EXPECT_EQ(sim.output("rdata"), 0xBu);
+  EXPECT_EQ(sim.output("q"), 0u);
+  EXPECT_EQ(sim.ram_violations().count, 0u);
+  sim.step();
+  // Cycle 2: read never-written slot 3 (data 0): the checking model flags
+  // it, and the inverter re-settles to 1 within the same pass.
+  sim.set_input("raddr", 3);
+  sim.settle();
+  EXPECT_EQ(sim.output("q"), 1u);
+  const GateSim::RamViolation& v = sim.ram_violations();
+  EXPECT_EQ(v.count, 1u);
+  EXPECT_EQ(v.first_cycle, 2u);
+  EXPECT_EQ(v.first_address, 3u);
+  EXPECT_EQ(v.first_kind, "never-written");
+  EXPECT_EQ(sim.counters().evaluations, sim.counters().dirty_pushes);
 }
 
 TEST(GateSimErrors, CyclicNetlistThrowsNamingTheOffendingCell) {
