@@ -22,7 +22,7 @@ void synth_bench(benchmark::State& state, bool word_passes, bool gate_passes) {
   for (auto _ : state) {
     rtl::Design d = word_passes ? rtl::run_passes(design, rtl::PassOptions{})
                                 : rtl::Design(design);
-    nl::Netlist gates = nl::lower_to_gates(d, {});
+    nl::Netlist gates = nl::lower_to_gates(d);
     if (gate_passes) gates = nl::optimize_gates(gates);
     nl::insert_scan_chain(gates);
     const auto rep = nl::report_area(gates);

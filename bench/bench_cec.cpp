@@ -46,7 +46,7 @@ void report(benchmark::State& state, const formal::CecResult& res) {
 void cec_opt_bench(benchmark::State& state, const rtl::Design& raw,
                    const char* prefix) {
   const rtl::Design design = rtl::run_passes(raw, {});
-  const nl::Netlist pre = nl::lower_to_gates(design, {});
+  const nl::Netlist pre = nl::lower_to_gates(design);
   const nl::Netlist post = nl::optimize_gates(pre);
   formal::CecResult res;
   for (auto _ : state) {
@@ -67,7 +67,7 @@ void cec_opt_bench(benchmark::State& state, const rtl::Design& raw,
 // a check no step of the real flow ever performs.)
 void cec_opt_stress_bench(benchmark::State& state, const rtl::Design& design,
                           const char* prefix) {
-  const nl::Netlist pre = nl::lower_to_gates(design, {});
+  const nl::Netlist pre = nl::lower_to_gates(design);
   const nl::Netlist post = nl::optimize_gates(pre);
   formal::CecResult res;
   for (auto _ : state) {
@@ -81,7 +81,7 @@ void cec_opt_stress_bench(benchmark::State& state, const rtl::Design& design,
 
 void cec_scan_bench(benchmark::State& state, const rtl::Design& design,
                     const char* prefix) {
-  const nl::Netlist pre = nl::optimize_gates(nl::lower_to_gates(design, {}));
+  const nl::Netlist pre = nl::optimize_gates(nl::lower_to_gates(design));
   nl::Netlist post = pre;
   nl::insert_scan_chain(post);
   formal::CecResult res;
@@ -97,7 +97,7 @@ void cec_scan_bench(benchmark::State& state, const rtl::Design& design,
 
 void cec_rtl_bench(benchmark::State& state, const rtl::Design& design,
                    const char* prefix) {
-  const nl::Netlist gates = nl::optimize_gates(nl::lower_to_gates(design, {}));
+  const nl::Netlist gates = nl::optimize_gates(nl::lower_to_gates(design));
   formal::CecResult res;
   for (auto _ : state) {
     res = formal::check_rtl_vs_netlist(design, gates,

@@ -10,9 +10,7 @@
 // timelines.  `--threads N` sets the campaign lane count (coverage numbers
 // are bit-identical for any N — that determinism is itself under test in
 // the tier-1 suite).  `--faults N` bounds the sampled faults per design.
-// `--backend compiled` runs each good-machine reference on the
-// bit-parallel CompiledSim (faulty machines always interpret); the
-// classifications are bit-identical either way.
+// Every good-machine reference runs on the event-driven GateSim.
 //
 // `--trace FILE` / `--ledger FILE` turn on run telemetry: campaign root
 // spans with per-fault batch jobs hanging off them land in a Perfetto
@@ -34,7 +32,6 @@
 #include <vector>
 
 #include "flow/synthesis_flow.hpp"
-#include "hdlsim/compile.hpp"
 #include "obs/session.hpp"
 
 namespace {
@@ -92,7 +89,6 @@ bool write_gbench_json(const std::string& path,
 
 int main(int argc, char** argv) {
   std::string json_path, trace_path, ledger_path, gbench_path;
-  std::string backend = "interpreted";
   std::string engine = "event-driven";
   unsigned threads = 1;
   std::size_t max_faults = 120;
@@ -118,10 +114,6 @@ int main(int argc, char** argv) {
       max_faults = std::strtoul(argv[++i], nullptr, 10);
     } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
       max_faults = std::strtoul(argv[i] + 9, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      backend = argv[++i];
-    } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      backend = argv[i] + 10;
     } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
       engine = argv[++i];
     } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
@@ -138,17 +130,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--json FILE] [--trace FILE] [--ledger FILE] "
                    "[--threads N] [--faults N] "
-                   "[--backend interpreted|compiled] "
                    "[--engine event-driven|ppsfp] "
                    "[--gbench-json FILE] [--repeat N]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (backend != "interpreted" && backend != "compiled") {
-    std::fprintf(stderr, "error: unknown --backend '%s' (interpreted|compiled)\n",
-                 backend.c_str());
-    return 2;
   }
   if (engine != "event-driven" && engine != "ppsfp") {
     std::fprintf(stderr, "error: unknown --engine '%s' (event-driven|ppsfp)\n",
@@ -165,9 +151,6 @@ int main(int argc, char** argv) {
   fopt.run = true;
   fopt.campaign.max_faults = max_faults;
   fopt.campaign.threads = threads;
-  fopt.campaign.reference_backend = backend == "compiled"
-                                        ? scflow::hdlsim::Backend::kCompiled
-                                        : scflow::hdlsim::Backend::kInterpreted;
   fopt.campaign.engine = engine == "ppsfp"
                              ? scflow::fault::CampaignOptions::Engine::kPpsfp
                              : scflow::fault::CampaignOptions::Engine::kEventDriven;

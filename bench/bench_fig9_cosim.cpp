@@ -115,7 +115,10 @@ void report_counters(benchmark::State& state, const hdlsim::SimCounters& c) {
 // engines, comparable across DUTs of very different construction cost.
 void native_bench(benchmark::State& state, DutKind kind) {
   const auto prog = hdlsim::build_src_testbench(events(), dsp::SrcMode::k44_1To48);
-  std::uint64_t cycles = 0, tb_instructions = 0;
+  std::uint64_t cycles = 0;
+  // Work counters are one run's, so they do not scale with the iteration
+  // count google-benchmark picks.
+  std::uint64_t tb_instructions = 0;
   hdlsim::SimCounters last{};
   for (auto _ : state) {
     state.PauseTiming();
@@ -124,7 +127,7 @@ void native_bench(benchmark::State& state, DutKind kind) {
     const auto r = hdlsim::run_testbench_vm(*dut, prog);
     benchmark::DoNotOptimize(r.outputs.data());
     cycles += r.cycles;
-    tb_instructions += r.instructions_executed;
+    tb_instructions = r.instructions_executed;
     last = r.dut_counters;
   }
   state.counters["cyc_per_s"] =
@@ -137,7 +140,8 @@ void native_bench(benchmark::State& state, DutKind kind) {
 }
 
 void cosim_bench(benchmark::State& state, DutKind kind) {
-  std::uint64_t cycles = 0, syncs = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t syncs = 0;  // one run's, like `last`
   hdlsim::SimCounters last{};
   for (auto _ : state) {
     state.PauseTiming();
@@ -148,7 +152,7 @@ void cosim_bench(benchmark::State& state, DutKind kind) {
                                     [&state] { state.ResumeTiming(); });
     benchmark::DoNotOptimize(r.outputs.data());
     cycles += r.cycles;
-    syncs += r.syncs;
+    syncs = r.syncs;
     last = r.dut_counters;
   }
   state.counters["cyc_per_s"] =

@@ -91,17 +91,14 @@ Observer make_observer(const nl::Netlist& n) {
   return o;
 }
 
-template <typename Sim>
-void apply_cycle(Sim& sim, const Observer& o, const std::vector<std::uint64_t>& in) {
+void apply_cycle(GateSim& sim, const Observer& o, const std::vector<std::uint64_t>& in) {
   for (std::size_t i = 0; i < o.in_refs.size(); ++i) sim.set_input(o.in_refs[i], in[i]);
   sim.step();
 }
 
 /// Runs the good machine over the whole program and collects one
-/// PortSample per (cycle, output port) — generic over the engine since
-/// GateSim and CompiledSim share the handle/sample surface.
-template <typename Sim>
-std::vector<GateSim::PortSample> reference_run(Sim& sim, const Observer& o,
+/// PortSample per (cycle, output port).
+std::vector<GateSim::PortSample> reference_run(GateSim& sim, const Observer& o,
                                                const Program& prog) {
   std::vector<GateSim::PortSample> reference(prog.cycles.size() * o.out_refs.size());
   const std::size_t n_ports = o.out_refs.size();
@@ -114,8 +111,8 @@ std::vector<GateSim::PortSample> reference_run(Sim& sim, const Observer& o,
 }
 
 /// Fingerprint of the options that change WHAT the campaign computes.
-/// Scheduling/engine knobs (threads, wall budgets, reference backend, the
-/// PPSFP faulty-machine engine) are deliberately excluded: results are
+/// Scheduling/engine knobs (threads, wall budgets, the PPSFP
+/// faulty-machine engine) are deliberately excluded: results are
 /// bit-identical across them, so a thread-sweep's (or an engine-sweep's)
 /// ledgers must fingerprint identically.
 std::uint64_t campaign_fingerprint(const CampaignOptions& o) {
@@ -214,14 +211,12 @@ CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faul
   // the reference run and the PPSFP screen.
   const bool simulate = !faults.empty();
 
-  // One compile serves the compiled reference run, the PPSFP screen, and
-  // every PPSFP batch.  A netlist the compiler rejects (combinational
-  // cycle) simply keeps the whole fault list on the event-driven path.
+  // One compile serves the PPSFP screen and every PPSFP batch.  A netlist
+  // the compiler rejects (combinational cycle) simply keeps the whole
+  // fault list on the event-driven path.
   const bool use_ppsfp = options.engine == CampaignOptions::Engine::kPpsfp;
   std::optional<hdlsim::CompiledProgram> cprog;
-  if (simulate && options.reference_backend == hdlsim::Backend::kCompiled) {
-    cprog.emplace(hdlsim::compile_netlist(n));
-  } else if (simulate && use_ppsfp) {
+  if (simulate && use_ppsfp) {
     try {
       cprog.emplace(hdlsim::compile_netlist(n));
     } catch (const std::exception&) {
@@ -229,21 +224,8 @@ CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faul
   }
 
   // Reference responses of the good machine, observed after every cycle.
-  // The compiled backend runs the same program broadcast across its 64
-  // pattern lanes (four-state so X propagation matches the interpreter);
-  // either way the faulty machines below compare against identical masks.
   std::vector<GateSim::PortSample> reference;
-  if (simulate && options.reference_backend == hdlsim::Backend::kCompiled) {
-    hdlsim::CompiledSim::Options copt;
-    copt.four_state = true;
-    copt.x_initial_flops = options.x_initial_flops;
-    // With a session listening, also collect the per-cycle op-throughput
-    // distribution (off otherwise — benches measure the bare loop).
-    copt.ops_histogram = session != nullptr;
-    hdlsim::CompiledSim good(n, *cprog, copt);
-    reference = reference_run(good, obs_points, prog);
-    if (session != nullptr) good.record_into(session->registry, "compiled." + n.name());
-  } else if (simulate) {
+  if (simulate) {
     GateSim good(n, sim_opt);
     reference = reference_run(good, obs_points, prog);
   }

@@ -1,8 +1,9 @@
 // Concurrent stuck-at fault-simulation campaigns: one good-machine
-// reference run, then one independently simulated faulty machine per
-// fault, fanned across a hdlsim::BatchRunner (dynamic ticket claiming,
-// per-fault wall budgets) and compared at every observe point (primary
-// outputs every cycle, scan_out during shifts).
+// reference run on the event-driven GateSim, then one independently
+// simulated faulty machine per fault (or 64 per PPSFP batch), fanned
+// across a hdlsim::BatchRunner (dynamic ticket claiming, per-fault wall
+// budgets) and compared at every observe point (primary outputs every
+// cycle, scan_out during shifts).
 //
 // Determinism: the stimulus program is a pure function of (netlist ports,
 // options.seed); every fault writes only its own result slot; aggregates
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "hdlsim/compile.hpp"
 #include "netlist/netlist.hpp"
 
 namespace scflow::obs {
@@ -70,13 +70,6 @@ struct CampaignOptions {
   /// Metric prefix for record_into / session recording; empty = use
   /// "fault.<netlist name>".
   std::string metric_prefix;
-  /// Engine for the good-machine reference run.  kCompiled runs the
-  /// bit-parallel four-state CompiledSim (bit-exact with the interpreter
-  /// on broadcast stimulus — see test_compiled_sim) and records its
-  /// "compiled.<design>.ops/.words/.cycles" counters into the session.
-  /// With engine == kEventDriven, faulty machines always run the
-  /// interpreter (fault injection is an event-level hook).
-  hdlsim::Backend reference_backend = hdlsim::Backend::kInterpreted;
   /// Faulty-machine engine.  kPpsfp batches up to 64 faults per compiled
   /// bit-parallel run (one stuck-at overlay lane each, dropped at first
   /// detection), RAM/ROM bus faults included.  Programs the two-state

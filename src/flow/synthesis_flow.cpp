@@ -56,7 +56,7 @@ nl::Netlist synthesize_to_gates(const rtl::Design& design, nl::GateOptStats* gat
     }();
     nl::Netlist g = [&] {
       const auto t = timed("lower");
-      return nl::lower_to_gates(optimised, {});
+      return nl::lower_to_gates(optimised);
     }();
     lowered_hash = nl::content_hash(g);
     if (options.verify_cec) pre_opt = g;

@@ -8,7 +8,6 @@
 
 #include "core/wordpack.hpp"
 #include "dtypes/bit_int.hpp"
-#include "obs/registry.hpp"
 
 namespace scflow::hdlsim {
 
@@ -572,10 +571,6 @@ void CompiledSim::step() {
   if (overlay_)
     for (const Clamp& c : ov_commit_) apply_clamp(c);
   ++cycles_;
-  if (options_.ops_histogram) {
-    cycle_ops_.record(ops_run_ - ops_at_cycle_start_);
-    ops_at_cycle_start_ = ops_run_;
-  }
 }
 
 // --- reads -----------------------------------------------------------------
@@ -627,14 +622,6 @@ std::uint64_t CompiledSim::output_word(PortRef port, std::size_t bit) const {
 std::uint64_t CompiledSim::output_known_word(PortRef port, std::size_t bit) const {
   if (!options_.four_state) return ~0ull;
   return known_[prog_.output_slots[out_index(port)].at(bit)];
-}
-
-void CompiledSim::record_into(scflow::obs::Registry& reg, std::string_view prefix) const {
-  const std::string p(prefix);
-  reg.set_counter(p + ".ops", ops_run_);
-  reg.set_counter(p + ".words", words_);
-  reg.set_counter(p + ".cycles", cycles_);
-  if (cycle_ops_.count() > 0) reg.merge_histogram(p + ".cycle_ops", cycle_ops_);
 }
 
 }  // namespace scflow::hdlsim

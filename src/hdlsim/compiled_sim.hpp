@@ -14,8 +14,8 @@
 //    Unknown bits carry known=0 (and value=0 — the masked invariant);
 //    X and Z collapse to unknown, exactly as pessimistic as GateSim's
 //    truth tables, so broadcast four-state runs reproduce GateSim's
-//    output_sample() masks bit for bit (the fault campaign's reference
-//    backend rests on this).
+//    output_sample() masks bit for bit (the x_initial_flops gate DUTs
+//    of make_gate_dut rest on this).
 //
 // Macro (RAM/ROM) read ports run as word-parallel ops inside the
 // compiled program: a bit-matrix transpose (core/wordpack.hpp, log2 of
@@ -54,7 +54,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -64,11 +63,6 @@
 #include "hdlsim/gate_sim.hpp"
 #include "hdlsim/sim_counters.hpp"
 #include "netlist/netlist.hpp"
-#include "obs/histogram.hpp"
-
-namespace scflow::obs {
-class Registry;
-}
 
 namespace scflow::hdlsim {
 
@@ -81,9 +75,6 @@ class CompiledSim {
     /// Power-up flops unknown instead of their reset values; forces
     /// four_state on.
     bool x_initial_flops = false;
-    /// Record a per-cycle executed-ops histogram (one sample per step()).
-    /// Off by default: the benches measure the uninstrumented loop.
-    bool ops_histogram = false;
   };
 
   /// Patterns per machine word — the parallel axis of this backend.
@@ -148,7 +139,7 @@ class CompiledSim {
   [[nodiscard]] scflow::LogicVector output_bits(const std::string& name,
                                                 unsigned lane = 0) const;
   /// Packed never-throwing sample of one lane (GateSim::PortSample shape,
-  /// so the fault campaign compares reference responses type-for-type).
+  /// so parity checks compare the two engines type-for-type).
   [[nodiscard]] GateSim::PortSample output_sample(PortRef port, unsigned lane = 0) const;
   /// The raw 64 patterns of one output bit (and its known mask;
   /// two-state reads return an all-ones mask).
@@ -170,16 +161,6 @@ class CompiledSim {
   [[nodiscard]] std::uint64_t ops_executed() const { return ops_run_; }
   /// 64-bit words written by those ops (two per op in four-state mode).
   [[nodiscard]] std::uint64_t words_written() const { return words_; }
-
-  /// Per-cycle executed-ops distribution (empty unless
-  /// Options::ops_histogram) — the throughput-shape evidence behind the
-  /// flat "ops" counter.
-  [[nodiscard]] const obs::Histogram& cycle_ops() const { return cycle_ops_; }
-
-  /// Records "<prefix>.ops/.words/.cycles" counters (plus the
-  /// "<prefix>.cycle_ops" histogram when enabled) into the registry —
-  /// the obs surface of the compiled backend.
-  void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 
  private:
   struct MacroRt {
@@ -262,11 +243,9 @@ class CompiledSim {
 
   GateSim::RamViolation no_violations_;
   SimCounters counters_;
-  obs::Histogram cycle_ops_;
   std::uint64_t cycles_ = 0;
   std::uint64_t ops_run_ = 0;
   std::uint64_t words_ = 0;
-  std::uint64_t ops_at_cycle_start_ = 0;  // watermark for the per-cycle sample
 };
 
 }  // namespace scflow::hdlsim

@@ -290,11 +290,10 @@ struct Lowerer {
 
 }  // namespace
 
-Netlist lower_to_gates(const rtl::Design& design, const LowerOptions& options) {
+Netlist lower_to_gates(const rtl::Design& design) {
   design.validate();
   Lowerer l(design);
   l.run();
-  if (options.insert_scan) insert_scan_chain(l.out);
   l.out.validate();
   return std::move(l.out);
 }

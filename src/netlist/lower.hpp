@@ -8,19 +8,14 @@
 
 namespace scflow::nl {
 
-struct LowerOptions {
-  /// Replace flops by scan flops and stitch a scan chain immediately.
-  /// The synthesis flow normally lowers, optimises, *then* inserts scan
-  /// (insert_scan_chain), so this stays off by default.
-  bool insert_scan = false;
-};
-
 /// Bit-blasts @p design into a gate netlist.  RAM/ROM macros become port
 /// groups described by Netlist::macros.
-Netlist lower_to_gates(const rtl::Design& design, const LowerOptions& options = {});
+Netlist lower_to_gates(const rtl::Design& design);
 
 /// Converts every DFF into an SDFF and threads scan_in -> ... -> scan_out
 /// with a scan_enable input (idempotent on netlists without plain DFFs).
+/// The synthesis flow calls it after gate optimisation; it is the one
+/// scan path.
 /// Returns the number of flops converted to scan flops.
 std::size_t insert_scan_chain(Netlist& n);
 

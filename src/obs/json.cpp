@@ -43,165 +43,6 @@ std::string json_number(double v) {
   return buf;
 }
 
-namespace {
-
-/// Recursive-descent JSON syntax checker over a string_view cursor.
-class Checker {
- public:
-  explicit Checker(std::string_view text) : text_(text) {}
-
-  bool run(std::string* error) {
-    error_ = error;
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters after JSON value");
-    return true;
-  }
-
- private:
-  bool fail(const char* msg) {
-    if (error_ != nullptr)
-      *error_ = std::string(msg) + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  [[nodiscard]] bool eof() const { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const { return text_[pos_]; }
-
-  void skip_ws() {
-    while (!eof()) {
-      const char c = peek();
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') ++pos_;
-      else break;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return fail("invalid literal");
-    pos_ += word.size();
-    return true;
-  }
-
-  bool value() {
-    if (++depth_ > kMaxDepth) return fail("nesting too deep");
-    bool ok = false;
-    if (eof()) {
-      ok = fail("unexpected end of input");
-    } else {
-      switch (peek()) {
-        case '{': ok = object(); break;
-        case '[': ok = array(); break;
-        case '"': ok = string(); break;
-        case 't': ok = literal("true"); break;
-        case 'f': ok = literal("false"); break;
-        case 'n': ok = literal("null"); break;
-        default: ok = number(); break;
-      }
-    }
-    --depth_;
-    return ok;
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (eof() || peek() != '"') return fail("expected object key string");
-      if (!string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') return fail("expected ':' after object key");
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated object");
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated array");
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool string() {
-    ++pos_;  // opening quote
-    while (true) {
-      if (eof()) return fail("unterminated string");
-      const auto c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') { ++pos_; return true; }
-      if (c < 0x20) return fail("raw control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (eof()) return fail("unterminated escape");
-        const char e = text_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (eof() || !is_hex(text_[pos_])) return fail("bad \\u escape");
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return fail("bad escape character");
-        }
-      }
-      ++pos_;
-    }
-  }
-
-  static bool is_hex(char c) {
-    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
-  }
-  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (eof() || !is_digit(peek())) return fail("expected a number");
-    if (peek() == '0') ++pos_;  // no leading zeros
-    else while (!eof() && is_digit(peek())) ++pos_;
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (eof() || !is_digit(peek())) return fail("expected digits after decimal point");
-      while (!eof() && is_digit(peek())) ++pos_;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || !is_digit(peek())) return fail("expected exponent digits");
-      while (!eof() && is_digit(peek())) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  static constexpr int kMaxDepth = 256;
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string* error_ = nullptr;
-};
-
-}  // namespace
-
-bool json_validate(std::string_view text, std::string* error) {
-  return Checker(text).run(error);
-}
-
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [k, v] : members)
@@ -222,9 +63,9 @@ double JsonValue::as_double(double dflt) const {
 
 namespace {
 
-/// Recursive-descent parser building a JsonValue DOM.  Grammar identical
-/// to Checker; numbers additionally keep an exact uint64 image when the
-/// lexeme is a plain non-negative integer in range.
+/// Recursive-descent parser building a JsonValue DOM — the one JSON
+/// grammar of the obs layer.  Numbers additionally keep an exact uint64
+/// image when the lexeme is a plain non-negative integer in range.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -470,6 +311,11 @@ class Parser {
 bool json_parse(std::string_view text, JsonValue* out, std::string* error) {
   *out = JsonValue{};
   return Parser(text).run(out, error);
+}
+
+bool json_validate(std::string_view text, std::string* error) {
+  JsonValue discarded;
+  return json_parse(text, &discarded, error);
 }
 
 }  // namespace scflow::obs

@@ -1,9 +1,10 @@
 // Minimal JSON utilities for the observability layer: string escaping for
-// the emitters, a tiny syntax checker so tests can assert that every
-// report.json / trace.json the flow writes is actually well-formed JSON
-// (the structural half of "loads in Perfetto"), and a small DOM parser so
-// the run-ledger tooling (obs::Ledger, tools/scflow_report) can load the
-// artifacts it wrote.  No dependencies.
+// the emitters and one small DOM parser, so the run-ledger tooling
+// (obs::Ledger, tools/scflow_report) can load the artifacts it wrote and
+// tests can assert that every report.json / trace.json the flow writes is
+// well-formed JSON (the structural half of "loads in Perfetto").
+// json_validate is json_parse into a discarded value: one grammar, one
+// set of diagnostics.  No dependencies.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +29,9 @@ namespace scflow::obs {
 
 /// Full-syntax JSON well-formedness check (RFC 8259 grammar: values,
 /// objects, arrays, strings with escapes, numbers, literals; rejects
-/// trailing garbage).  Returns true iff @p text is one valid JSON value;
-/// on failure, *error (if given) describes the first problem and its
-/// byte offset.
+/// trailing garbage): json_parse with the DOM discarded.  Returns true iff
+/// @p text is one valid JSON value; on failure, *error (if given)
+/// describes the first problem and its byte offset.
 [[nodiscard]] bool json_validate(std::string_view text, std::string* error = nullptr);
 
 /// Parsed JSON value (document order preserved for object members).
@@ -55,8 +56,8 @@ struct JsonValue {
   [[nodiscard]] const std::string& as_string() const { return string; }
 };
 
-/// Parses one JSON document (same grammar as json_validate).  Returns
-/// false on malformed input with *error describing the first problem.
+/// Parses one JSON document.  Returns false on malformed input with
+/// *error describing the first problem and its byte offset.
 [[nodiscard]] bool json_parse(std::string_view text, JsonValue* out,
                               std::string* error = nullptr);
 

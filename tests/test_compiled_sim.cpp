@@ -295,10 +295,11 @@ TEST(CompiledBatch, BitIdenticalAcrossThreadCounts) {
 
 // --- fault-campaign stimulus parity ----------------------------------------
 
-// The campaign's reference backend rests on this: over the exact campaign
-// stimulus (scan shifts included) the four-state compiled engine must
-// reproduce the interpreter's output_sample() masks bit for bit, on every
-// Fig. 10 design, X power-up included.
+// The x_initial_flops gate DUTs on the compiled backend (make_gate_dut)
+// rest on this: over the exact campaign stimulus (scan shifts included)
+// the four-state compiled engine must reproduce the interpreter's
+// output_sample() masks bit for bit, on every Fig. 10 design, X power-up
+// included.
 TEST(CompiledCampaignParity, AllFigureTenDesigns) {
   for (const char* which : {"vhdl_ref", "beh_unopt", "beh_opt", "rtl_unopt", "rtl_opt"}) {
     const nl::Netlist n = synthesised_src(which);
@@ -337,26 +338,6 @@ TEST(CompiledCampaignParity, AllFigureTenDesigns) {
       }
     }
   }
-}
-
-// End-to-end: a campaign with the compiled reference backend classifies
-// every fault exactly like the interpreted reference.
-TEST(CompiledCampaignParity, CampaignResultsMatchInterpretedReference) {
-  const nl::Netlist n = synthesised_src("rtl_opt");
-  fault::CampaignOptions opt;
-  opt.max_faults = 24;
-  opt.functional_cycles = 16;
-  opt.x_initial_flops = true;
-
-  const fault::CampaignResult interp = fault::run_campaign(n, opt);
-  opt.reference_backend = Backend::kCompiled;
-  const fault::CampaignResult comp = fault::run_campaign(n, opt);
-
-  ASSERT_EQ(comp.faults.size(), interp.faults.size());
-  for (std::size_t i = 0; i < interp.faults.size(); ++i)
-    EXPECT_TRUE(comp.faults[i] == interp.faults[i]) << "fault " << i;
-  EXPECT_EQ(comp.detected, interp.detected);
-  EXPECT_EQ(comp.oscillating, interp.oscillating);
 }
 
 // --- independent pattern lanes ---------------------------------------------
@@ -605,18 +586,15 @@ TEST(WordPack, GatherScatterMatchPerLaneReference) {
 
 // --- observability and error paths -----------------------------------------
 
-TEST(CompiledSimTest, RecordsObsCounters) {
+TEST(CompiledSimTest, CountsOpsWordsAndCycles) {
   const nl::Netlist n = synthesised_src("rtl_opt");
   CompiledSim sim(n);
   for (const nl::PortBits& p : n.inputs()) sim.set_input(p.name, 0);
   for (int i = 0; i < 5; ++i) sim.step();
 
-  obs::Registry reg;
-  sim.record_into(reg, "compiled.src");
-  EXPECT_EQ(reg.counter("compiled.src.cycles"), 5u);
-  EXPECT_GT(reg.counter("compiled.src.ops"), 0u);
-  EXPECT_EQ(reg.counter("compiled.src.words"), reg.counter("compiled.src.ops"));
-  EXPECT_EQ(sim.ops_executed(), reg.counter("compiled.src.ops"));
+  EXPECT_EQ(sim.cycles(), 5u);
+  EXPECT_GT(sim.ops_executed(), 0u);
+  EXPECT_EQ(sim.words_written(), sim.ops_executed());  // two-state: one word per op
   EXPECT_EQ(sim.gate_evaluations(), sim.ops_executed());
 }
 

@@ -38,7 +38,7 @@ std::pair<nl::Netlist, nl::Netlist> acc_pair() {
   b.assign_always(acc, b.add(acc.q, b.and_(x, y)));
   b.output("sum", b.add(x, y));
   b.output("acc", acc.q);
-  nl::Netlist g = nl::optimize_gates(nl::lower_to_gates(b.finalise(), {}));
+  nl::Netlist g = nl::optimize_gates(nl::lower_to_gates(b.finalise()));
   nl::Netlist pre = g;
   nl::insert_scan_chain(g);
   return {std::move(pre), std::move(g)};

@@ -208,7 +208,7 @@ rtl::Design small_design() {
 
 TEST(CecTest, OptimisedNetlistEquivalentToUnoptimised) {
   const rtl::Design d = small_design();
-  const nl::Netlist gates = nl::lower_to_gates(d, {});
+  const nl::Netlist gates = nl::lower_to_gates(d);
   const nl::Netlist opt = nl::optimize_gates(gates);
   obs::Registry reg;
   CecOptions o;
@@ -223,7 +223,7 @@ TEST(CecTest, OptimisedNetlistEquivalentToUnoptimised) {
 
 TEST(CecTest, RtlVsLoweredNetlistIsStructurallyFree) {
   const rtl::Design d = small_design();
-  const nl::Netlist gates = nl::lower_to_gates(d, {});
+  const nl::Netlist gates = nl::lower_to_gates(d);
   const CecResult res = check_rtl_vs_netlist(d, gates);
   EXPECT_EQ(res.status, CecStatus::kEquivalent);
   // The RTL bitblaster mirrors the lowerer gate-for-gate, so hashing
@@ -234,7 +234,7 @@ TEST(CecTest, RtlVsLoweredNetlistIsStructurallyFree) {
 
 TEST(CecTest, RtlVsOptimisedNetlist) {
   const rtl::Design d = small_design();
-  nl::Netlist gates = nl::lower_to_gates(d, {});
+  nl::Netlist gates = nl::lower_to_gates(d);
   gates = nl::optimize_gates(gates);
   const CecResult res = check_rtl_vs_netlist(d, gates);
   EXPECT_EQ(res.status, CecStatus::kEquivalent);
@@ -242,7 +242,7 @@ TEST(CecTest, RtlVsOptimisedNetlist) {
 
 TEST(CecTest, ScanInsertionEquivalentModuloScanPorts) {
   const rtl::Design d = small_design();
-  const nl::Netlist pre = nl::optimize_gates(nl::lower_to_gates(d, {}));
+  const nl::Netlist pre = nl::optimize_gates(nl::lower_to_gates(d));
   nl::Netlist post = pre;
   nl::insert_scan_chain(post);
   const CecResult res = check_equivalence(pre, post, nullptr, CecOptions::scan_modulo());
@@ -266,7 +266,7 @@ TEST(CecTest, InjectedBugYieldsReplayedCounterexample) {
   auto x = b.input("x", 6);
   auto y = b.input("y", 6);
   b.output("o", b.and_(x, y));
-  const nl::Netlist good = nl::lower_to_gates(b.finalise(), {});
+  const nl::Netlist good = nl::lower_to_gates(b.finalise());
   nl::Netlist bad = good;
   ASSERT_TRUE(inject_and_to_or(bad));
 
@@ -282,7 +282,7 @@ TEST(CecTest, InjectedBugYieldsReplayedCounterexample) {
 
 TEST(CecTest, InjectedSequentialBugCaughtInNextStateCone) {
   const rtl::Design d = small_design();
-  const nl::Netlist good = nl::optimize_gates(nl::lower_to_gates(d, {}));
+  const nl::Netlist good = nl::optimize_gates(nl::lower_to_gates(d));
   nl::Netlist bad = good;
   ASSERT_TRUE(inject_and_to_or(bad));
   const CecResult res = check_equivalence(good, bad);
@@ -296,7 +296,7 @@ TEST(CecTest, AssertEquivalentThrowsWithDivergentNetAndVcd) {
   auto x = b.input("x", 4);
   auto y = b.input("y", 4);
   b.output("prod", b.mul(x, y, 8));
-  const nl::Netlist good = nl::lower_to_gates(b.finalise(), {});
+  const nl::Netlist good = nl::lower_to_gates(b.finalise());
   nl::Netlist bad = good;
   ASSERT_TRUE(inject_and_to_or(bad));
 
@@ -329,7 +329,7 @@ TEST(CecTest, AssertEquivalentThrowsWithDivergentNetAndVcd) {
 
 TEST(CecTest, CombViewExposesStateAndNextPorts) {
   const rtl::Design d = small_design();
-  const nl::Netlist gates = nl::lower_to_gates(d, {});
+  const nl::Netlist gates = nl::lower_to_gates(d);
   const nl::Netlist view = comb_view(gates);
   EXPECT_NE(view.find_input("state:acc_q0"), nullptr);
   EXPECT_NE(view.find_output("next:acc_q0"), nullptr);
@@ -447,7 +447,7 @@ TEST(CecFuzzRtl, LoweredAndOptimisedRandomDesigns) {
     b.output("o", pool.back());
     const rtl::Design d = b.finalise();
 
-    const nl::Netlist gates = nl::lower_to_gates(d, {});
+    const nl::Netlist gates = nl::lower_to_gates(d);
     const nl::Netlist opt = nl::optimize_gates(gates);
     ASSERT_EQ(check_rtl_vs_netlist(d, gates).status, CecStatus::kEquivalent)
         << "iter " << iter;

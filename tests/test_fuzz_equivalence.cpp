@@ -92,7 +92,7 @@ TEST_P(FuzzEquivalence, InterpreterMatchesOptimisedGates) {
   std::mt19937_64 rng(0xF00D + static_cast<unsigned>(GetParam()));
   const Design d = random_design(rng, 24);
   const Design optimised = rtl::run_passes(d, rtl::PassOptions{});
-  nl::Netlist gates = nl::lower_to_gates(optimised, {});
+  nl::Netlist gates = nl::lower_to_gates(optimised);
   gates = nl::optimize_gates(gates);
 
   rtl::Interpreter ref(d);

@@ -328,7 +328,7 @@ nl::Netlist scan_accumulator() {
   b.assign_always(acc, b.add(acc.q, b.and_(x, y)));
   b.output("sum", b.add(x, y));
   b.output("acc", acc.q);
-  nl::Netlist g = nl::optimize_gates(nl::lower_to_gates(b.finalise(), {}));
+  nl::Netlist g = nl::optimize_gates(nl::lower_to_gates(b.finalise()));
   nl::insert_scan_chain(g);
   return g;
 }

@@ -35,7 +35,7 @@ TEST(NetlistIr, ValidateCatchesUndrivenNets) {
 /// the rtl::Interpreter-style reference for random inputs.
 struct GateHarness {
   explicit GateHarness(const rtl::Design& d, bool optimize = false)
-      : netlist(lower_to_gates(d, {})) {
+      : netlist(lower_to_gates(d)) {
     if (optimize) netlist = optimize_gates(netlist);
     sim = std::make_unique<hdlsim::GateSim>(netlist);
   }
@@ -152,7 +152,7 @@ TEST(GateOpt, FoldsConstantsAndDedupes) {
   b.output("o2", m1);
   b.output("o3", b.add(x, b.c(8, 0)));    // duplicate logic
   // Lower *without* word-level passes so the gate optimiser has work.
-  Netlist n = lower_to_gates(b.finalise(), {});
+  Netlist n = lower_to_gates(b.finalise());
   GateOptStats stats;
   const Netlist opt = optimize_gates(n, &stats);
   EXPECT_LT(opt.cells().size(), n.cells().size());
@@ -202,7 +202,7 @@ TEST(ScanChain, ReplacesFlopsAndShiftsData) {
   b.assign_always(r1, d_in);
   b.assign_always(r2, r1.q);
   b.output("q", r2.q);
-  Netlist n = lower_to_gates(b.finalise(), {});
+  Netlist n = lower_to_gates(b.finalise());
   const Netlist pre_scan = n;
   insert_scan_chain(n);
   // Scan insertion proven equivalent modulo the scan ports.
@@ -237,7 +237,7 @@ TEST(AreaReportTest, SplitsCombinationalAndSequential) {
   auto r = b.reg("r", 8);
   b.assign_always(r, b.add(x, r.q));
   b.output("o", r.q);
-  const Netlist n = lower_to_gates(b.finalise(), {});
+  const Netlist n = lower_to_gates(b.finalise());
   const AreaReport rep = report_area(n);
   EXPECT_EQ(rep.flop_count, 8u);
   EXPECT_GT(rep.combinational, 0.0);
@@ -251,7 +251,7 @@ TEST(AreaReportTest, MacrosAreExcluded) {
   const int mem = b.memory("ram", 4, 8);
   b.ram_write(mem, addr, b.c(8, 0), b.c(1, 0));
   b.output("d", b.ram_read(mem, addr));
-  const Netlist n = lower_to_gates(b.finalise(), {});
+  const Netlist n = lower_to_gates(b.finalise());
   // Only the TIE cells and read-enable plumbing appear; the RAM itself
   // contributes no area.
   const AreaReport rep = report_area(n);

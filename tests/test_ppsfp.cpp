@@ -58,7 +58,7 @@ nl::Netlist scan_accumulator() {
   b.assign_always(acc, b.add(acc.q, b.and_(x, y)));
   b.output("sum", b.add(x, y));
   b.output("acc", acc.q);
-  nl::Netlist g = nl::optimize_gates(nl::lower_to_gates(b.finalise(), {}));
+  nl::Netlist g = nl::optimize_gates(nl::lower_to_gates(b.finalise()));
   nl::insert_scan_chain(g);
   return g;
 }
@@ -79,7 +79,7 @@ nl::Netlist ram_design() {
   b.assign_always(acc, b.add(acc.q, rd));
   b.output("rdata", rd);
   b.output("acc", acc.q);
-  return nl::lower_to_gates(b.finalise(), {});
+  return nl::lower_to_gates(b.finalise());
 }
 
 // --- the overlay itself, lane by lane against inject_stuck --------------
@@ -323,41 +323,37 @@ TEST(Ppsfp, EmptyFaultListFillsOnlyTheProgramFields) {
     const nl::Netlist n = scan ? scan_accumulator() : ram_design();
     const std::vector<Fault> one = {enumerate_stuck_faults(n).front()};
     for (const Engine engine : {Engine::kEventDriven, Engine::kPpsfp}) {
-      for (const hdlsim::Backend ref :
-           {hdlsim::Backend::kInterpreted, hdlsim::Backend::kCompiled}) {
-        CampaignOptions opt;
-        opt.engine = engine;
-        opt.reference_backend = ref;
-        opt.threads = 2;
-        const CampaignResult full = run_campaign(n, one, opt);
-        obs::Session session;
-        const CampaignResult r = run_campaign(n, {}, opt, &session);
-        EXPECT_EQ(r.design, n.name());
-        EXPECT_EQ(r.list.sites, 0u);
-        EXPECT_EQ(r.list.raw, 0u);
-        EXPECT_EQ(r.list.collapsed, 0u);
-        EXPECT_EQ(r.population, 0u);
-        EXPECT_EQ(r.scan_used, full.scan_used);
-        EXPECT_EQ(r.scan_used, scan);
-        EXPECT_EQ(r.stimulus_cycles, full.stimulus_cycles);
-        EXPECT_GT(r.stimulus_cycles, 0u);
-        EXPECT_EQ(r.observe_ports, full.observe_ports);
-        EXPECT_TRUE(r.faults.empty());
-        EXPECT_EQ(r.detected, 0u);
-        EXPECT_EQ(r.undetected, 0u);
-        EXPECT_EQ(r.undetected_budget, 0u);
-        EXPECT_EQ(r.oscillating, 0u);
-        EXPECT_EQ(r.faulty_cycles_total, 0u);
-        EXPECT_EQ(r.ppsfp_dropped, 0u);
-        EXPECT_EQ(r.ppsfp_fallback, 0u);
-        EXPECT_EQ(r.ppsfp_batch_cycles, 0u);
-        // The session still gets the campaign's records.
-        ASSERT_EQ(session.ledger.size(), 1u);
-        const std::string p = "fault." + n.name();
-        EXPECT_EQ(session.registry.counter(p + ".stimulus_cycles"), r.stimulus_cycles);
-        EXPECT_TRUE(session.registry.has_counter(p + ".simulated"));
-        EXPECT_EQ(session.registry.counter(p + ".simulated"), 0u);
-      }
+      CampaignOptions opt;
+      opt.engine = engine;
+      opt.threads = 2;
+      const CampaignResult full = run_campaign(n, one, opt);
+      obs::Session session;
+      const CampaignResult r = run_campaign(n, {}, opt, &session);
+      EXPECT_EQ(r.design, n.name());
+      EXPECT_EQ(r.list.sites, 0u);
+      EXPECT_EQ(r.list.raw, 0u);
+      EXPECT_EQ(r.list.collapsed, 0u);
+      EXPECT_EQ(r.population, 0u);
+      EXPECT_EQ(r.scan_used, full.scan_used);
+      EXPECT_EQ(r.scan_used, scan);
+      EXPECT_EQ(r.stimulus_cycles, full.stimulus_cycles);
+      EXPECT_GT(r.stimulus_cycles, 0u);
+      EXPECT_EQ(r.observe_ports, full.observe_ports);
+      EXPECT_TRUE(r.faults.empty());
+      EXPECT_EQ(r.detected, 0u);
+      EXPECT_EQ(r.undetected, 0u);
+      EXPECT_EQ(r.undetected_budget, 0u);
+      EXPECT_EQ(r.oscillating, 0u);
+      EXPECT_EQ(r.faulty_cycles_total, 0u);
+      EXPECT_EQ(r.ppsfp_dropped, 0u);
+      EXPECT_EQ(r.ppsfp_fallback, 0u);
+      EXPECT_EQ(r.ppsfp_batch_cycles, 0u);
+      // The session still gets the campaign's records.
+      ASSERT_EQ(session.ledger.size(), 1u);
+      const std::string p = "fault." + n.name();
+      EXPECT_EQ(session.registry.counter(p + ".stimulus_cycles"), r.stimulus_cycles);
+      EXPECT_TRUE(session.registry.has_counter(p + ".simulated"));
+      EXPECT_EQ(session.registry.counter(p + ".simulated"), 0u);
     }
   }
 }

@@ -27,7 +27,7 @@ rtl::Design small_design() {
 }
 
 TEST(VerilogWriter, StructuralContainsModuleAndGates) {
-  const auto gates = nl::lower_to_gates(small_design(), {});
+  const auto gates = nl::lower_to_gates(small_design());
   const std::string v = write_structural(gates);
   EXPECT_NE(v.find("module tiny"), std::string::npos);
   EXPECT_NE(v.find("XOR2"), std::string::npos);
@@ -43,7 +43,7 @@ TEST(VerilogWriter, BehaviouralContainsAlwaysBlock) {
 }
 
 TEST(VerilogRoundtrip, ParsedNetlistMatchesOriginalBehaviour) {
-  const auto gates = nl::lower_to_gates(small_design(), {});
+  const auto gates = nl::lower_to_gates(small_design());
   const std::string text = write_structural(gates);
   const nl::Netlist parsed = parse_structural(text);
   EXPECT_EQ(parsed.cells().size(), gates.cells().size());
@@ -67,7 +67,7 @@ TEST(VerilogRoundtrip, ParsedNetlistMatchesOriginalBehaviour) {
 }
 
 TEST(VerilogRoundtrip, ScanChainSurvives) {
-  auto gates = nl::lower_to_gates(small_design(), {});
+  auto gates = nl::lower_to_gates(small_design());
   nl::insert_scan_chain(gates);
   const nl::Netlist parsed = parse_structural(write_structural(gates));
   std::size_t sdffs = 0;
@@ -80,7 +80,7 @@ TEST(VerilogRoundtrip, ScanChainSurvives) {
 
 TEST(VerilogRoundtrip, FullSrcNetlistParses) {
   const auto gates = nl::lower_to_gates(
-      rtl::build_src_design(rtl::rtl_opt_config()), {});
+      rtl::build_src_design(rtl::rtl_opt_config()));
   const nl::Netlist parsed = parse_structural(write_structural(gates));
   EXPECT_EQ(parsed.cells().size(), gates.cells().size());
 }
@@ -89,7 +89,7 @@ TEST(VerilogRoundtrip, FullSrcNetlistParses) {
 // every stage must be CEC-equivalent to the original, which requires the
 // writer/parser to carry flop provenance names through as instance names.
 TEST(VerilogRoundtrip, ReParsedNetlistIsCecEquivalent) {
-  const auto gates = nl::lower_to_gates(small_design(), {});
+  const auto gates = nl::lower_to_gates(small_design());
   const nl::Netlist parsed = parse_structural(write_structural(gates));
   // Flop provenance survived the trip (needed for boundary pairing).
   std::size_t named_flops = 0;
@@ -104,7 +104,7 @@ TEST(VerilogRoundtrip, ReParsedNetlistIsCecEquivalent) {
 }
 
 TEST(VerilogRoundtrip, ScanNetlistCecEquivalentAfterRoundTrip) {
-  auto gates = nl::lower_to_gates(small_design(), {});
+  auto gates = nl::lower_to_gates(small_design());
   nl::insert_scan_chain(gates);
   const nl::Netlist parsed = parse_structural(write_structural(gates));
   formal::assert_equivalent(gates, parsed);
@@ -112,7 +112,7 @@ TEST(VerilogRoundtrip, ScanNetlistCecEquivalentAfterRoundTrip) {
 
 TEST(VerilogRoundtrip, FullSrcNetlistCecEquivalent) {
   const auto gates = nl::lower_to_gates(
-      rtl::build_src_design(rtl::rtl_opt_config()), {});
+      rtl::build_src_design(rtl::rtl_opt_config()));
   const nl::Netlist parsed = parse_structural(write_structural(gates));
   const formal::CecResult res = formal::check_equivalence(gates, parsed);
   EXPECT_TRUE(res.equivalent());
@@ -189,7 +189,7 @@ TEST(VerilogParser, OversizedNumbersAndWidthsRejected) {
 // mutations of a real writer emission must either parse (producing a valid
 // netlist) or throw ParseError — never crash, hang, or throw anything else.
 TEST(VerilogParser, TruncationAndMutationFuzzNeverCrashes) {
-  const auto gates = nl::lower_to_gates(small_design(), {});
+  const auto gates = nl::lower_to_gates(small_design());
   const std::string text = write_structural(gates);
 
   std::size_t truncated_kind = 0;
