@@ -20,7 +20,7 @@ void synth_bench(benchmark::State& state, bool word_passes, bool gate_passes) {
   double area = 0.0;
   std::size_t cells = 0;
   for (auto _ : state) {
-    rtl::Design d = word_passes ? rtl::run_passes(design, rtl::PassOptions{})
+    rtl::Design d = word_passes ? rtl::run_passes(design)
                                 : rtl::Design(design);
     nl::Netlist gates = nl::lower_to_gates(d);
     if (gate_passes) gates = nl::optimize_gates(gates);

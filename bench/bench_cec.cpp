@@ -45,7 +45,7 @@ void report(benchmark::State& state, const formal::CecResult& res) {
 // close and the check is cheap.
 void cec_opt_bench(benchmark::State& state, const rtl::Design& raw,
                    const char* prefix) {
-  const rtl::Design design = rtl::run_passes(raw, {});
+  const rtl::Design design = rtl::run_passes(raw);
   const nl::Netlist pre = nl::lower_to_gates(design);
   const nl::Netlist post = nl::optimize_gates(pre);
   formal::CecResult res;

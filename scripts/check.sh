@@ -131,14 +131,15 @@ else
   # Only the targets that exercise the worker pools (batch runner, fault
   # campaigns, serve lanes) are built and run (directly, not via ctest:
   # gtest_discover_tests would re-register the whole suite for a partial
-  # build).  GateSim itself is single-threaded, so its own suites
-  # (test_gate_level, test_gate_alloc) have no race to find here.  The
+  # build).  GateSim and the RTL interpreter are single-threaded, so the
+  # suites that only drive them (test_gate_level, test_gate_alloc,
+  # test_fuzz_equivalence) have no race to find here.  The
   # cosim tests are excluded — the minisc kernel's ucontext fibers are
   # outside TSan's supported threading model.
   cmake -B build-tsan -S . -DSCFLOW_SANITIZE=thread -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build-tsan -j"$JOBS" --target \
-    test_batch_runner test_fault test_ppsfp test_fuzz_equivalence \
-    test_compiled_sim test_serve test_resilience
+    test_batch_runner test_fault test_ppsfp test_compiled_sim test_serve \
+    test_resilience
   echo "-- TSan: test_batch_runner"
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_batch_runner
   # test_fault minus the five-design full-population parity sweep (minutes
@@ -167,11 +168,6 @@ else
   # lane_stalls_ atomic from every worker).
   echo "-- TSan: test_resilience"
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_resilience
-  # The fuzz oracle suite is heavyweight under TSan; one shard (125 random
-  # netlists) keeps the coverage without the cost.
-  echo "-- TSan: test_fuzz_equivalence (shard 0)"
-  TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_fuzz_equivalence \
-    --gtest_filter='Shards/GateFuzzTableVsReference.*/0'
   RAN_PASSES+=("TSan")
 fi
 

@@ -70,10 +70,10 @@ struct CampaignOptions {
   /// Metric prefix for record_into / session recording; empty = use
   /// "fault.<netlist name>".
   std::string metric_prefix;
-  /// Faulty-machine engine.  kPpsfp batches up to 64 faults per compiled
-  /// bit-parallel run (one stuck-at overlay lane each, dropped at first
-  /// detection), RAM/ROM bus faults included.  Programs the two-state
-  /// screen can't prove exact — X/oscillation-sensitive programs,
+  /// Faulty-machine engine.  kPpsfp batches up to 64 faults per two-state
+  /// compiled bit-parallel run (one stuck-at overlay lane each, dropped at
+  /// first detection), RAM/ROM bus faults included.  Programs the screen
+  /// can't prove exact — X/oscillation-sensitive programs,
   /// x_initial_flops, cyclic netlists — fall back whole to the
   /// event-driven overlay, so classifications are bit-identical with
   /// kEventDriven either way (the differential harness in

@@ -32,7 +32,7 @@ PpsfpPlan ppsfp_plan(const nl::Netlist& n, const CompiledProgram& prog,
   // known and value-equal.  Any divergence means the program has a live X
   // (or Z) path the two-state lanes would silently misclassify.
   {
-    CompiledSim sim(n, prog, CompiledSim::Options{});
+    CompiledSim sim(n, prog);
     const auto& ins = n.inputs();
     const auto& outs = n.outputs();
     const std::size_t n_ports = outs.size();
@@ -70,7 +70,7 @@ void run_ppsfp_batch(const nl::Netlist& n, const CompiledProgram& prog,
                      std::size_t count, std::uint64_t cycle_budget,
                      const std::function<bool()>& expired,
                      std::vector<FaultResult>& results) {
-  CompiledSim sim(n, prog, CompiledSim::Options{});
+  CompiledSim sim(n, prog);
   std::vector<CompiledSim::LaneFault> lanes(count);
   for (std::size_t i = 0; i < count; ++i) {
     const Fault& f = faults[batch[i]];

@@ -6,10 +6,11 @@
 // port) — the fault-dropping loop that makes full collapsed fault lists
 // interactive.
 //
-// Exactness contract: the bit-parallel path runs two-state, so it is only
-// taken when the campaign program provably has no X anywhere — decided by
-// ppsfp_plan's screen (no x_initial_flops, and a cheap broadcast
-// two-state run reproducing the four-state reference masks bit for bit).
+// Exactness contract: CompiledSim is a two-state engine, so the
+// bit-parallel path is only taken when the campaign program provably has
+// no X anywhere — decided by ppsfp_plan's screen (no x_initial_flops, and
+// a cheap broadcast two-state run reproducing the good machine's
+// four-valued GateSim samples bit for bit).
 // When the screen fails, or the compiler rejects the netlist, the whole
 // list falls back to the event-driven faulty-machine overlay, so the
 // four-valued taxonomy (kOscillating, kUndetectedBudget, ...) is

@@ -49,10 +49,9 @@ nl::Netlist synthesize_to_gates(const rtl::Design& design, nl::GateOptStats* gat
                                   reg->time_scope(step));
     };
 
-    rtl::PassOptions word_opts;  // constant fold + CSE + DCE for every design
-    rtl::Design optimised = [&] {
+    rtl::Design optimised = [&] {  // constant fold + CSE + DCE for every design
       const auto t = timed("word_passes");
-      return rtl::run_passes(design, word_opts);
+      return rtl::run_passes(design);
     }();
     nl::Netlist g = [&] {
       const auto t = timed("lower");

@@ -20,6 +20,20 @@ namespace scflow::formal {
 
 namespace {
 
+// Engine tuning, the same for every check.  options_fingerprint still
+// hashes each of them, in their historical order, so ledger entries stay
+// comparable across versions.
+constexpr bool kFraigSweep = true;  // SAT-sweep internal candidate equivalences
+constexpr int kSimRounds = 4;       // rounds of 64 random patterns each
+// Netlist-vs-netlist only: before touching the AIG's random simulation,
+// run kSimRounds rounds of shared name-keyed patterns through the
+// two-state compiled simulator on both comb_views.
+constexpr bool kCompiledPresim = true;
+constexpr std::uint64_t kSweepConflictLimit = 200;  // per sweep SAT call
+constexpr std::uint64_t kSweepMaxChecks = 10000;    // total sweep SAT calls
+constexpr std::uint64_t kFinalConflictLimit = 0;    // per output bit; 0 = unbounded
+constexpr bool kReplay = true;  // replay counterexamples through GateSim
+
 struct CompareBit {
   const std::string* name;
   int bit;
@@ -28,7 +42,6 @@ struct CompareBit {
 };
 
 struct Engine {
-  const CecOptions& opt;
   Aig aig;
   VarMap vars;
   sat::Solver solver;
@@ -37,7 +50,7 @@ struct Engine {
   std::vector<std::uint8_t> uf_parity;
   CecStats stats;
 
-  explicit Engine(const CecOptions& o) : opt(o), vars(aig) {}
+  Engine() : vars(aig) {}
 
   void sync_nodes() {
     node_var.resize(aig.node_count(), -1);
@@ -227,14 +240,14 @@ std::uint64_t options_fingerprint(const CecOptions& opt) {
   h.update_str("cec-options-v1");
   for (const auto& s : opt.tie_zero_inputs) h.update_str(s);
   for (const auto& s : opt.ignore_outputs) h.update_str(s);
-  h.update_u64(opt.fraig_sweep ? 1 : 0);
-  h.update_u64(static_cast<std::uint64_t>(opt.sim_rounds));
-  h.update_u64(opt.compiled_presim ? 1 : 0);
-  h.update_u64(opt.sweep_conflict_limit);
-  h.update_u64(opt.sweep_max_checks);
-  h.update_u64(opt.final_conflict_limit);
+  h.update_u64(kFraigSweep ? 1 : 0);
+  h.update_u64(static_cast<std::uint64_t>(kSimRounds));
+  h.update_u64(kCompiledPresim ? 1 : 0);
+  h.update_u64(kSweepConflictLimit);
+  h.update_u64(kSweepMaxChecks);
+  h.update_u64(kFinalConflictLimit);
   h.update_u64(opt.seed);
-  h.update_u64(opt.replay ? 1 : 0);
+  h.update_u64(kReplay ? 1 : 0);
   return h.digest();
 }
 
@@ -306,7 +319,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
   input_h.update_u64(nl::content_hash(b));
   const std::uint64_t input_hash = input_h.digest();
 
-  Engine eng(opt);
+  Engine eng;
   CecResult res;
 
   // Positional flop pairing is only meaningful when both sides have the
@@ -383,7 +396,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
     res.stats.sat_conflicts = eng.solver.stats().conflicts;
     res.stats.sat_decisions = eng.solver.stats().decisions;
     res.stats.sat_propagations = eng.solver.stats().propagations;
-    if (res.cex && opt.replay) replay_cex(*res.cex, a_nl, b);
+    if (res.cex && kReplay) replay_cex(*res.cex, a_nl, b);
     record_metrics(reg, opt, res.stats, res, input_hash, elapsed_ns());
     return res;
   };
@@ -396,7 +409,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
   // enforced that shared names carry matching widths).  A differing output
   // word refutes equivalence before any AIG node words are allocated, and
   // the counterexample comes from an engine independent of the bitblaster.
-  if (opt.compiled_presim && a_nl != nullptr && opt.sim_rounds > 0) {
+  if (kCompiledPresim && a_nl != nullptr) {
     const nl::Netlist view_a = comb_view(*a_nl);
     const nl::Netlist view_b = comb_view(b);
     hdlsim::CompiledSim sim_a(view_a);
@@ -427,7 +440,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
                                                       static_cast<unsigned>(i)));
       }
     };
-    for (int r = 0; r < opt.sim_rounds; ++r) {
+    for (int r = 0; r < kSimRounds; ++r) {
       drive(sim_a, view_a, r);
       drive(sim_b, view_b, r);
       sim_a.settle();
@@ -483,11 +496,10 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
 
   // --- random simulation: cheap refutation + sweep signatures ---
   core::SplitMix64 rng{opt.seed};
-  const int rounds = opt.sim_rounds > 0 ? opt.sim_rounds : 1;
   std::vector<std::uint64_t> input_words(eng.aig.input_count());
   std::vector<std::uint64_t> node_words;
   std::vector<std::vector<std::uint64_t>> sigs;  // per round, per node
-  for (int r = 0; r < rounds; ++r) {
+  for (int r = 0; r < kSimRounds; ++r) {
     for (auto& w : input_words) w = rng.next();
     eng.aig.simulate(input_words, node_words);
     for (const CompareBit& c : cmp) {
@@ -500,7 +512,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
         return finish(CecStatus::kNotEquivalent);
       }
     }
-    if (opt.fraig_sweep) sigs.push_back(node_words);
+    if (kFraigSweep) sigs.push_back(node_words);
   }
 
   // Mark structurally proven bits; collect the support of the rest.
@@ -534,7 +546,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
   if (!any_open) return finish(CecStatus::kEquivalent);
 
   // --- fraig-lite sweep over the open bits' support ---
-  if (opt.fraig_sweep && !sigs.empty()) {
+  if (kFraigSweep && !sigs.empty()) {
     std::map<std::vector<std::uint64_t>, std::vector<std::pair<std::uint32_t, bool>>>
         classes;
     std::vector<std::uint64_t> key(sigs.size());
@@ -555,12 +567,12 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
       const auto [n0, p0] = members[0];
       const AigLit la = (n0 << 1) | (p0 ? 1u : 0u);
       for (std::size_t i = 1; i < members.size(); ++i) {
-        if (checks >= opt.sweep_max_checks) break;
+        if (checks >= kSweepMaxChecks) break;
         const auto [ni, pi] = members[i];
         const AigLit lb = (ni << 1) | (pi ? 1u : 0u);
         if (eng.canon(la) == eng.canon(lb)) continue;
         ++checks;
-        if (eng.prove_equal(la, lb, opt.sweep_conflict_limit) == sat::Result::kUnsat)
+        if (eng.prove_equal(la, lb, kSweepConflictLimit) == sat::Result::kUnsat)
           ++eng.stats.sweep_merges;
       }
     }
@@ -574,7 +586,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
       ++eng.stats.bits_structural;
       continue;
     }
-    const sat::Result r = eng.prove_equal(c.a, c.b, opt.final_conflict_limit);
+    const sat::Result r = eng.prove_equal(c.a, c.b, kFinalConflictLimit);
     if (r == sat::Result::kUnsat) {
       ++eng.stats.bits_sat_proved;
       continue;

@@ -50,10 +50,10 @@ struct CecCounterexample {
 
 struct CecStats {
   std::size_t aig_nodes = 0;
-  /// Compiled-simulation pre-pass: rounds of 64 patterns run through the
-  /// bit-parallel CompiledSim on both comb_views, and the bytecode ops
-  /// those rounds executed (both sides summed).  Zero when the pre-pass
-  /// was disabled or skipped (RTL side A).
+  /// Compiled-simulation pre-pass (netlist vs netlist): rounds of 64
+  /// patterns run through the bit-parallel CompiledSim on both
+  /// comb_views, and the bytecode ops those rounds executed (both sides
+  /// summed).  Zero for an RTL side A, which skips the pre-pass.
   std::size_t presim_rounds = 0;
   std::uint64_t presim_ops = 0;
   std::size_t compare_points = 0;  // ports/cones compared
@@ -78,20 +78,8 @@ struct CecOptions {
   std::vector<std::string> tie_zero_inputs;
   /// Output ports excluded from the comparison (e.g. "scan_out").
   std::vector<std::string> ignore_outputs;
-  bool fraig_sweep = true;  ///< SAT-sweep internal candidate equivalences
-  int sim_rounds = 4;       ///< rounds of 64 random patterns each
-  /// Netlist-vs-netlist only: before touching the AIG's random simulation,
-  /// run sim_rounds rounds of shared name-keyed patterns through the
-  /// two-state compiled simulator on both comb_views — the cheapest
-  /// refutation layer (straight-line bytecode, no AIG node words), and a
-  /// cross-check of the bitblaster itself since its counterexamples come
-  /// from an independent engine.
-  bool compiled_presim = true;
-  std::uint64_t sweep_conflict_limit = 200;  ///< per sweep SAT call
-  std::size_t sweep_max_checks = 10000;      ///< total sweep SAT calls
-  std::uint64_t final_conflict_limit = 0;    ///< per output bit; 0 = unbounded
+  /// Seeds the random-simulation and compiled pre-pass patterns.
   std::uint64_t seed = 0x5eedf00dcafe1234ull;
-  bool replay = true;  ///< replay counterexamples through GateSim
   std::string metric_prefix = "cec";
   /// Preset for comparing a scan-inserted netlist against its pre-scan
   /// original: scan_in/scan_enable tied to 0, scan_out ignored.

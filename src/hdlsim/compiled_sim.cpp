@@ -16,37 +16,21 @@ using CT = nl::CellType;
 constexpr std::uint8_t op_kind(CT t) { return static_cast<std::uint8_t>(t); }
 }  // namespace
 
-CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options)
-    : CompiledSim(netlist, options, compile_netlist(netlist), nullptr) {}
+CompiledSim::CompiledSim(const nl::Netlist& netlist)
+    : CompiledSim(netlist, compile_netlist(netlist), nullptr) {}
 
-CompiledSim::CompiledSim(const nl::Netlist& netlist, const CompiledProgram& program,
-                         Options options)
-    : CompiledSim(netlist, options, CompiledProgram{}, &program) {}
+CompiledSim::CompiledSim(const nl::Netlist& netlist, const CompiledProgram& program)
+    : CompiledSim(netlist, CompiledProgram{}, &program) {}
 
-CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options, CompiledProgram own,
+CompiledSim::CompiledSim(const nl::Netlist& netlist, CompiledProgram own,
                          const CompiledProgram* shared)
     : nl_(&netlist),
-      options_(options),
       prog_own_(std::move(own)),
       prog_(shared != nullptr ? *shared : prog_own_) {
-  if (options_.x_initial_flops) options_.four_state = true;
-
   vals_.assign(prog_.slot_count, 0);
-  if (options_.four_state) known_.assign(prog_.slot_count, 0);
-  auto* k = options_.four_state ? known_.data() : nullptr;
-  for (const std::uint32_t s : prog_.tie0_slots) {
-    vals_[s] = 0;
-    if (k != nullptr) k[s] = ~0ull;
-  }
-  for (const std::uint32_t s : prog_.tie1_slots) {
-    vals_[s] = ~0ull;
-    if (k != nullptr) k[s] = ~0ull;
-  }
-  for (std::uint32_t fi = 0; fi < prog_.flop_count; ++fi) {
-    if (options_.x_initial_flops) continue;  // unknown: value 0, known 0
+  for (const std::uint32_t s : prog_.tie1_slots) vals_[s] = ~0ull;
+  for (std::uint32_t fi = 0; fi < prog_.flop_count; ++fi)
     vals_[fi] = core::word_broadcast(prog_.flop_init[fi] != 0);
-    if (k != nullptr) k[fi] = ~0ull;
-  }
 
   std::size_t widest_bus = 0;
   macro_rt_.resize(prog_.macros.size());
@@ -61,7 +45,7 @@ CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options, CompiledPr
     const CompiledMacroPort& mp = prog_.macro_ports[pi];
     ++macro_rt_[mp.macro].read_ports;
     const std::size_t stash_words = mp.addr_slots.size() + mp.en_slots.size();
-    port_rt_[pi].stash.assign(stash_words * (options_.four_state ? 2 : 1), 0);
+    port_rt_[pi].stash.assign(stash_words, 0);
     widest_bus = std::max(widest_bus, mp.data_slots.size());
   }
   bus_.assign(widest_bus, 0);
@@ -117,13 +101,6 @@ std::size_t CompiledSim::out_index(PortRef port) const {
   return idx;
 }
 
-void CompiledSim::drive_bit(std::uint32_t slot, std::uint64_t value, std::uint64_t known) {
-  vals_[slot] = value & known;
-  if (options_.four_state) known_[slot] = known;
-  else if (known != ~0ull)
-    throw std::invalid_argument(prog_.name + ": X/Z stimulus needs the four-state backend");
-}
-
 void CompiledSim::set_input(const std::string& name, std::uint64_t value) {
   set_input(input_port(name), value);
 }
@@ -132,13 +109,8 @@ void CompiledSim::set_input(PortRef port, std::uint64_t value) {
   const auto& slots = prog_.input_slots[in_index(port)];
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const bool b = i < 64 && ((value >> i) & 1u) != 0;
-    drive_bit(slots[i], core::word_broadcast(b), ~0ull);
+    vals_[slots[i]] = core::word_broadcast(b);
   }
-}
-
-void CompiledSim::set_input_x(const std::string& name) {
-  const auto& slots = prog_.input_slots[in_index(input_port(name))];
-  for (const std::uint32_t s : slots) drive_bit(s, 0, 0);
 }
 
 void CompiledSim::set_input_logic(const std::string& name, const scflow::LogicVector& bits) {
@@ -148,29 +120,19 @@ void CompiledSim::set_input_logic(const std::string& name, const scflow::LogicVe
     throw std::invalid_argument("vector wider than input '" + name + "'");
   for (std::size_t i = 0; i < bits.width(); ++i) {
     const scflow::Logic b = bits.at(i);
-    if (scflow::logic_is_01(b))
-      drive_bit(slots[i], core::word_broadcast(b == scflow::Logic::L1), ~0ull);
-    else
-      drive_bit(slots[i], 0, 0);
+    if (!scflow::logic_is_01(b))
+      throw std::invalid_argument(prog_.name + ": X/Z stimulus on the two-state backend");
+    vals_[slots[i]] = core::word_broadcast(b == scflow::Logic::L1);
   }
 }
 
 void CompiledSim::set_input_word(PortRef port, std::size_t bit, std::uint64_t patterns) {
-  drive_bit(prog_.input_slots[in_index(port)].at(bit), patterns, ~0ull);
-}
-
-void CompiledSim::set_input_word(PortRef port, std::size_t bit, std::uint64_t value,
-                                 std::uint64_t known) {
-  if (!options_.four_state && known != ~0ull)
-    throw std::invalid_argument(prog_.name + ": X/Z stimulus needs the four-state backend");
-  drive_bit(prog_.input_slots[in_index(port)].at(bit), value, known);
+  vals_[prog_.input_slots[in_index(port)].at(bit)] = patterns;
 }
 
 // --- PPSFP fault overlay ---------------------------------------------------
 
 void CompiledSim::set_fault_overlay(const std::vector<LaneFault>& faults) {
-  if (options_.four_state)
-    throw std::logic_error(prog_.name + ": the PPSFP fault overlay is two-state only");
   ov_settle_.clear();
   ov_commit_.clear();
   ov_op_.clear();
@@ -258,7 +220,6 @@ void CompiledSim::set_fault_overlay(const std::vector<LaneFault>& faults) {
 // re-evaluate — mirroring GateSim's dirty marking per machine, which is
 // what lets externally driven data-port values persist identically on
 // both engines (and 64 overlay lanes diverge as 64 GateSims would).
-template <bool FourState>
 bool CompiledSim::eval_macro_port(std::uint32_t pi) {
   const CompiledMacroPort& mp = prog_.macro_ports[pi];
   const CompiledMacro& cm = prog_.macros[mp.macro];
@@ -266,23 +227,15 @@ bool CompiledSim::eval_macro_port(std::uint32_t pi) {
   PortRt& prt = port_rt_[pi];
 
   const std::size_t n_addr = mp.addr_slots.size();
-  const std::size_t n_in = n_addr + mp.en_slots.size();
   std::uint64_t changed = prt.valid ? mrt.wrote_mask : ~0ull;
   // The stash holds the last settle's final values: a drive its port
   // then undid still counts as a transition.
-  for (const auto& [dw, di] : prt.driven) {
-    changed |= prt.stash[dw] ^ driven_[di].value;
-    if constexpr (FourState) changed |= prt.stash[n_in + dw] ^ driven_[di].known;
-  }
+  for (const auto& [dw, di] : prt.driven) changed |= prt.stash[dw] ^ driven_[di].value;
   std::size_t w = 0;
   const auto scan = [&](const std::vector<std::uint32_t>& slots) {
     for (const std::uint32_t s : slots) {
       changed |= prt.stash[w] ^ vals_[s];
       prt.stash[w] = vals_[s];
-      if constexpr (FourState) {
-        changed |= prt.stash[n_in + w] ^ known_[s];
-        prt.stash[n_in + w] = known_[s];
-      }
       ++w;
     }
   };
@@ -291,16 +244,12 @@ bool CompiledSim::eval_macro_port(std::uint32_t pi) {
   prt.valid = true;
   if (changed == 0) return false;
 
-  // Lanes with an unknown address bit read an all-unknown data bus.
-  std::uint64_t look = changed;
-  if constexpr (FourState)
-    for (std::size_t b = 0; b < n_addr; ++b) look &= prt.stash[n_in + b];
   // The stash now holds the settled address words: transpose them into
   // per-lane addresses, look each lane's word up, transpose back.
   core::gather_lanes(prt.stash.data(), n_addr, lane_addr_.data());
   if (cm.kind == nl::MacroInfo::Kind::kRom) {
     const std::uint64_t mask = scflow::bit_mask(cm.data_bits);
-    for (std::uint64_t lanes = look; lanes != 0; lanes &= lanes - 1) {
+    for (std::uint64_t lanes = changed; lanes != 0; lanes &= lanes - 1) {
       const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
       const std::uint64_t addr = lane_addr_[lane];
       lane_data_[lane] = addr < cm.rom_contents.size()
@@ -309,25 +258,22 @@ bool CompiledSim::eval_macro_port(std::uint32_t pi) {
     }
   } else {
     const std::size_t entries = std::size_t{1} << cm.addr_bits;
-    for (std::uint64_t lanes = look; lanes != 0; lanes &= lanes - 1) {
+    for (std::uint64_t lanes = changed; lanes != 0; lanes &= lanes - 1) {
       const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
       lane_data_[lane] = mrt.ram[std::size_t{lane} * entries + lane_addr_[lane]];
     }
   }
   const std::size_t data_bits = mp.data_slots.size();
-  core::scatter_lanes(lane_data_.data(), look, data_bits, bus_.data());
+  core::scatter_lanes(lane_data_.data(), changed, data_bits, bus_.data());
   for (std::size_t b = 0; b < data_bits; ++b) {
     const std::uint32_t s = mp.data_slots[b];
     vals_[s] = (vals_[s] & ~changed) | bus_[b];
-    if constexpr (FourState) known_[s] = (known_[s] & ~changed) | look;
   }
   return true;
 }
 
-template <bool FourState>
 void CompiledSim::exec() {
   std::uint64_t* const v = vals_.data();
-  std::uint64_t* const k = FourState ? known_.data() : nullptr;
   std::uint64_t ran = 0;
   const CompiledOp* const ops = prog_.ops.data();
   // One dispatch per kind-homogeneous run, then a tight branch-free sweep
@@ -339,141 +285,45 @@ void CompiledSim::exec() {
   // chain shares one run, so a reader may sit just after the driver.
   // Overlay-free executions (the benches) never take the split: the oc
   // bound check fails once per run and the sweep covers the whole span.
-  [[maybe_unused]] std::size_t oc = 0;
+  std::size_t oc = 0;
   const auto clamps_through = [&](std::uint32_t op_end) {
-    if constexpr (!FourState)
-      for (; oc < ov_op_.size() && ov_op_[oc].op < op_end; ++oc)
-        apply_clamp(ov_op_[oc].clamp);
+    for (; oc < ov_op_.size() && ov_op_[oc].op < op_end; ++oc) apply_clamp(ov_op_[oc].clamp);
   };
   const auto sweep = [&](std::uint8_t kind, const CompiledOp* p,
                          const CompiledOp* const e) {
     constexpr std::uint32_t M = CompiledOp::kOutMask;
-    if constexpr (!FourState) {
-      switch (kind) {
-        case op_kind(CT::kBuf):
-          for (; p != e; ++p) v[p->out_kind & M] = v[p->in0];
-          break;
-        case op_kind(CT::kInv):
-          for (; p != e; ++p) v[p->out_kind & M] = ~v[p->in0];
-          break;
-        case op_kind(CT::kAnd2):
-          for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] & v[p->in1];
-          break;
-        case op_kind(CT::kOr2):
-          for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] | v[p->in1];
-          break;
-        case op_kind(CT::kNand2):
-          for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] & v[p->in1]);
-          break;
-        case op_kind(CT::kNor2):
-          for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] | v[p->in1]);
-          break;
-        case op_kind(CT::kXor2):
-          for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] ^ v[p->in1];
-          break;
-        case op_kind(CT::kXnor2):
-          for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] ^ v[p->in1]);
-          break;
-        case op_kind(CT::kMux2):
-          for (; p != e; ++p) {
-            const std::uint64_t s = v[p->in0];
-            v[p->out_kind & M] = (s & v[p->in2]) | (~s & v[p->in1]);
-          }
-          break;
-        default: break;
-      }
-    } else {
-      // Masked value/known pairs (unknown bits carry value 0), derived
-      // from the dtypes/logic.cpp truth tables with Z collapsed to X.
-      switch (kind) {
-        case op_kind(CT::kBuf):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            v[out] = v[p->in0];
-            k[out] = k[p->in0];
-          }
-          break;
-        case op_kind(CT::kInv):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            v[out] = ak & ~av;
-            k[out] = ak;
-          }
-          break;
-        case op_kind(CT::kAnd2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            const std::uint64_t bv = v[p->in1], bk = k[p->in1];
-            const std::uint64_t rv = av & bv;  // a known 0 dominates
-            v[out] = rv;
-            k[out] = rv | (ak & ~av) | (bk & ~bv);
-          }
-          break;
-        case op_kind(CT::kNand2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            const std::uint64_t bv = v[p->in1], bk = k[p->in1];
-            const std::uint64_t tv = av & bv;
-            const std::uint64_t tk = tv | (ak & ~av) | (bk & ~bv);
-            v[out] = tk & ~tv;
-            k[out] = tk;
-          }
-          break;
-        case op_kind(CT::kOr2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            const std::uint64_t bv = v[p->in1], bk = k[p->in1];
-            v[out] = av | bv;  // a known 1 dominates
-            k[out] = av | bv | (ak & bk);
-          }
-          break;
-        case op_kind(CT::kNor2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            const std::uint64_t bv = v[p->in1], bk = k[p->in1];
-            const std::uint64_t tv = av | bv;
-            const std::uint64_t tk = tv | (ak & bk);
-            v[out] = tk & ~tv;
-            k[out] = tk;
-          }
-          break;
-        case op_kind(CT::kXor2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t rk = k[p->in0] & k[p->in1];
-            v[out] = rk & (v[p->in0] ^ v[p->in1]);
-            k[out] = rk;
-          }
-          break;
-        case op_kind(CT::kXnor2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t rk = k[p->in0] & k[p->in1];
-            v[out] = rk & ~(v[p->in0] ^ v[p->in1]);
-            k[out] = rk;
-          }
-          break;
-        case op_kind(CT::kMux2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t sv = v[p->in0], sk = k[p->in0];
-            const std::uint64_t pv = v[p->in1], pk = k[p->in1];
-            const std::uint64_t qv = v[p->in2], qk = k[p->in2];
-            const std::uint64_t s1 = sk & sv, s0 = sk & ~sv;
-            // Unknown select: known only where both branches agree on 0/1.
-            const std::uint64_t agree = pk & qk & ~(pv ^ qv);
-            const std::uint64_t rk = (s0 & pk) | (s1 & qk) | (~sk & agree);
-            v[out] = rk & ((s0 & pv) | (s1 & qv) | (~sk & pv));
-            k[out] = rk;
-          }
-          break;
-        default: break;
-      }
+    switch (kind) {
+      case op_kind(CT::kBuf):
+        for (; p != e; ++p) v[p->out_kind & M] = v[p->in0];
+        break;
+      case op_kind(CT::kInv):
+        for (; p != e; ++p) v[p->out_kind & M] = ~v[p->in0];
+        break;
+      case op_kind(CT::kAnd2):
+        for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] & v[p->in1];
+        break;
+      case op_kind(CT::kOr2):
+        for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] | v[p->in1];
+        break;
+      case op_kind(CT::kNand2):
+        for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] & v[p->in1]);
+        break;
+      case op_kind(CT::kNor2):
+        for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] | v[p->in1]);
+        break;
+      case op_kind(CT::kXor2):
+        for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] ^ v[p->in1];
+        break;
+      case op_kind(CT::kXnor2):
+        for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] ^ v[p->in1]);
+        break;
+      case op_kind(CT::kMux2):
+        for (; p != e; ++p) {
+          const std::uint64_t s = v[p->in0];
+          v[p->out_kind & M] = (s & v[p->in2]) | (~s & v[p->in1]);
+        }
+        break;
+      default: break;
     }
   };
   for (std::size_t ri = 0; ri < prog_.runs.size(); ++ri) {
@@ -482,47 +332,34 @@ void CompiledSim::exec() {
       // Read-port data slots clamp per op too: one port's data net can
       // directly address another port in the same run.
       for (std::uint32_t oi = run.begin; oi < run.end; ++oi) {
-        ran += eval_macro_port<FourState>(ops[oi].in0) ? 1u : 0u;
+        ran += eval_macro_port(ops[oi].in0) ? 1u : 0u;
         clamps_through(oi + 1);
       }
       continue;
     }
     ran += run.end - run.begin;
     std::uint32_t cur = run.begin;
-    if constexpr (!FourState) {
-      while (oc < ov_op_.size() && ov_op_[oc].op < run.end) {
-        const std::uint32_t stop = ov_op_[oc].op + 1;
-        sweep(run.kind, ops + cur, ops + stop);
-        clamps_through(stop);
-        cur = stop;
-      }
+    while (oc < ov_op_.size() && ov_op_[oc].op < run.end) {
+      const std::uint32_t stop = ov_op_[oc].op + 1;
+      sweep(run.kind, ops + cur, ops + stop);
+      clamps_through(stop);
+      cur = stop;
     }
     sweep(run.kind, ops + cur, ops + run.end);
   }
   ops_run_ += ran;
   counters_.evaluations += ran;
-  words_ += ran * (FourState ? 2 : 1);
 }
 
-template <bool FourState>
 void CompiledSim::ram_writes() {
   for (std::size_t mi = 0; mi < prog_.macros.size(); ++mi) {
     const CompiledMacro& cm = prog_.macros[mi];
     if (cm.kind != nl::MacroInfo::Kind::kRam) continue;
-    // Same rules as GateSim: X on the enable bus or a zero enable skips,
-    // an X address makes the contents unknowable (skip), X data writes 0.
-    // Unknown bits carry value 0, so the OR of the enable words alone
-    // rules out the common idle cycle before any known-mask work.
+    // A lane writes when any bit of its enable bus is set (GateSim's
+    // rule); the OR of the enable words rules out the idle cycle.
     std::uint64_t write = 0;
     for (const std::uint32_t s : cm.wen_slots) write |= vals_[s];
     if (write == 0) continue;
-    std::uint64_t data_ok = ~0ull;
-    if constexpr (FourState) {
-      for (const std::uint32_t s : cm.wen_slots) write &= known_[s];
-      for (const std::uint32_t s : cm.waddr_slots) write &= known_[s];
-      for (const std::uint32_t s : cm.wdata_slots) data_ok &= known_[s];
-      if (write == 0) continue;
-    }
     const auto gather = [&](const std::vector<std::uint32_t>& slots, std::uint64_t* out) {
       for (std::size_t b = 0; b < slots.size(); ++b) bus_[b] = vals_[slots[b]];
       core::gather_lanes(bus_.data(), slots.size(), out);
@@ -534,7 +371,7 @@ void CompiledSim::ram_writes() {
     for (std::uint64_t lanes = write; lanes != 0; lanes &= lanes - 1) {
       const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
       mrt.ram[std::size_t{lane} * entries + lane_addr_[lane]] =
-          core::word_lane(data_ok, lane) ? static_cast<std::uint32_t>(lane_data_[lane]) : 0;
+          static_cast<std::uint32_t>(lane_data_[lane]);
     }
     mrt.wrote_mask |= write;
     counters_.ram_rereads += mrt.read_ports;
@@ -548,25 +385,19 @@ void CompiledSim::settle() {
   // pass; re-assert their lane clamps before any op reads them.
   if (overlay_)
     for (const Clamp& c : ov_settle_) apply_clamp(c);
-  for (DrivenData& d : driven_) {
-    d.value = vals_[d.slot];
-    if (options_.four_state) d.known = known_[d.slot];
-  }
-  if (options_.four_state) exec<true>();
-  else exec<false>();
+  for (DrivenData& d : driven_) d.value = vals_[d.slot];
+  exec();
   // Write-forced re-evaluations were consumed by this pass.
   for (MacroRt& m : macro_rt_) m.wrote_mask = 0;
 }
 
 void CompiledSim::step() {
   settle();
-  if (options_.four_state) ram_writes<true>();
-  else ram_writes<false>();
+  ram_writes();
   // The flat flop commit the slot layout was built for: next-state region
   // [F,2F) onto the committed region [0,F) in one contiguous copy.
   const std::uint32_t F = prog_.flop_count;
   std::copy_n(vals_.begin() + F, F, vals_.begin());
-  if (options_.four_state) std::copy_n(known_.begin() + F, F, known_.begin());
   // Faulty Q slots: the commit is the write, the clamp follows it.
   if (overlay_)
     for (const Clamp& c : ov_commit_) apply_clamp(c);
@@ -582,25 +413,8 @@ std::uint64_t CompiledSim::output(const std::string& name) {
 std::uint64_t CompiledSim::output(PortRef port) {
   const auto& slots = prog_.output_slots[out_index(port)];
   std::uint64_t v = 0;
-  for (std::size_t i = 0; i < slots.size() && i < 64; ++i) {
-    if (options_.four_state && !core::word_lane(known_[slots[i]], 0))
-      throw std::runtime_error("output '" + port->name + "' carries X/Z");
+  for (std::size_t i = 0; i < slots.size() && i < 64; ++i)
     v |= std::uint64_t{core::word_lane(vals_[slots[i]], 0)} << i;
-  }
-  return v;
-}
-
-scflow::LogicVector CompiledSim::output_bits(const std::string& name, unsigned lane) const {
-  const auto it = out_ports_.find(name);
-  if (it == out_ports_.end()) throw std::invalid_argument("no output '" + name + "'");
-  const auto& slots = prog_.output_slots[out_index(it->second)];
-  scflow::LogicVector v(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (options_.four_state && !core::word_lane(known_[slots[i]], lane))
-      v.set(i, scflow::Logic::X);
-    else
-      v.set(i, scflow::logic_from_bool(core::word_lane(vals_[slots[i]], lane)));
-  }
   return v;
 }
 
@@ -608,7 +422,6 @@ GateSim::PortSample CompiledSim::output_sample(PortRef port, unsigned lane) cons
   const auto& slots = prog_.output_slots[out_index(port)];
   GateSim::PortSample s;
   for (std::size_t i = 0; i < slots.size() && i < 64; ++i) {
-    if (options_.four_state && !core::word_lane(known_[slots[i]], lane)) continue;
     s.known |= std::uint64_t{1} << i;
     if (core::word_lane(vals_[slots[i]], lane)) s.value |= std::uint64_t{1} << i;
   }
@@ -617,11 +430,6 @@ GateSim::PortSample CompiledSim::output_sample(PortRef port, unsigned lane) cons
 
 std::uint64_t CompiledSim::output_word(PortRef port, std::size_t bit) const {
   return vals_[prog_.output_slots[out_index(port)].at(bit)];
-}
-
-std::uint64_t CompiledSim::output_known_word(PortRef port, std::size_t bit) const {
-  if (!options_.four_state) return ~0ull;
-  return known_[prog_.output_slots[out_index(port)].at(bit)];
 }
 
 }  // namespace scflow::hdlsim

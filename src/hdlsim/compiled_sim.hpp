@@ -6,16 +6,13 @@
 // queue, no levels, just a tight dispatch loop whose pattern throughput
 // (patterns x cycles / s) is what the compiled backend benches report.
 //
-// Two execution modes:
-//  - two-state (default): one word per slot, X-free semantics.  Bit-exact
-//    with GateSim wherever the stimulus and reset state are fully defined
-//    (the SRC schedules, the CEC pre-pass, defined fuzz stimulus).
-//  - four-state (value/known word pair per slot): X-capable parity mode.
-//    Unknown bits carry known=0 (and value=0 — the masked invariant);
-//    X and Z collapse to unknown, exactly as pessimistic as GateSim's
-//    truth tables, so broadcast four-state runs reproduce GateSim's
-//    output_sample() masks bit for bit (the x_initial_flops gate DUTs
-//    of make_gate_dut rest on this).
+// Two-state only: one word per slot, X-free semantics, bit-exact with
+// GateSim wherever the stimulus and reset state are fully defined (the
+// SRC schedules, the CEC pre-pass, the PPSFP lanes behind their
+// two-state screen).  X-accurate simulation is GateSim's job:
+// make_gate_dut and run_src_netlist fall back to it for x_initial_flops,
+// the checking RAM model (Options::check_ram) and the reference
+// evaluator.
 //
 // Macro (RAM/ROM) read ports run as word-parallel ops inside the
 // compiled program: a bit-matrix transpose (core/wordpack.hpp, log2 of
@@ -23,31 +20,26 @@
 // address slot words into per-lane addresses, each lane looks its word
 // up, and a second transpose moves the data back onto the data slots;
 // the RAM write pass gathers address and data the same way and is
-// skipped outright when no lane's enable is set.  Four-state mode
-// only adds known masks: a lane with an unknown address bit reads an
-// unknown data bus, an unknown write enable or address skips the write,
-// and unknown write data writes 0.  To match GateSim's event semantics
-// (externally driven macro-data values persist until the port
-// re-evaluates), a lane of a port only re-evaluates when that lane's
-// settled address/enable bits changed since its last evaluation or its
-// RAM was written, so each lane behaves as a GateSim over its own
+// skipped outright when no lane's enable is set.  To match GateSim's
+// event semantics (externally driven macro-data values persist until the
+// port re-evaluates), a lane of a port only re-evaluates when that
+// lane's settled address/enable bits changed since its last evaluation
+// or its RAM was written, so each lane behaves as a GateSim over its own
 // stimulus.  A port addressed directly by another port's read data also
 // re-evaluates when the external drive moved that data, even if the
 // other port then restored it — GateSim's dirtiness is per transition,
-// not per settled value.  The checking RAM model (Options::check_ram)
-// stays interpreter-only: make_gate_dut falls back to GateDut when it is
-// requested.
+// not per settled value.
 //
-// PPSFP fault overlay (set_fault_overlay, two-state only): each pattern
-// lane carries one stuck-at fault.  The fault's slot is clamped after
-// every write — at settle start for externally driven slots, right after
-// its driver op (the executor splits that op's kind-homogeneous run at
-// the clamp, since a reader may share the run), after the flat flop
-// commit for Q slots — matching GateSim::inject_stuck's write-side
-// semantics per lane.  With the per-lane macro change detection above,
-// 64 faulty machines diverge independently exactly as 64 event-driven
-// GateSims would, RAM/ROM bus faults included; the fault campaign's
-// PPSFP engine is the client.
+// PPSFP fault overlay (set_fault_overlay): each pattern lane carries one
+// stuck-at fault.  The fault's slot is clamped after every write — at
+// settle start for externally driven slots, right after its driver op
+// (the executor splits that op's kind-homogeneous run at the clamp,
+// since a reader may share the run), after the flat flop commit for Q
+// slots — matching GateSim::inject_stuck's write-side semantics per
+// lane.  With the per-lane macro change detection above, 64 faulty
+// machines diverge independently exactly as 64 event-driven GateSims
+// would, RAM/ROM bus faults included; the fault campaign's PPSFP engine
+// is the client.
 #pragma once
 
 #include <array>
@@ -68,25 +60,15 @@ namespace scflow::hdlsim {
 
 class CompiledSim {
  public:
-  struct Options {
-    /// Run the value/known pair representation (X-capable).  Implied by
-    /// x_initial_flops.
-    bool four_state = false;
-    /// Power-up flops unknown instead of their reset values; forces
-    /// four_state on.
-    bool x_initial_flops = false;
-  };
-
   /// Patterns per machine word — the parallel axis of this backend.
   static constexpr unsigned kLanes = 64;
 
   /// @p netlist must outlive the simulator (slots bind to its ports).
-  explicit CompiledSim(const nl::Netlist& netlist) : CompiledSim(netlist, Options{}) {}
-  CompiledSim(const nl::Netlist& netlist, Options options);
+  explicit CompiledSim(const nl::Netlist& netlist);
   /// Shares a pre-compiled @p program (from compile_netlist(netlist);
   /// must outlive the simulator).  Fan-out users — the PPSFP fault
   /// batches above all — compile once and construct many executors.
-  CompiledSim(const nl::Netlist& netlist, const CompiledProgram& program, Options options);
+  CompiledSim(const nl::Netlist& netlist, const CompiledProgram& program);
   CompiledSim(const CompiledSim&) = delete;
   CompiledSim& operator=(const CompiledSim&) = delete;
 
@@ -100,10 +82,9 @@ class CompiledSim {
   };
 
   /// Installs a per-lane stuck-at overlay (replacing any previous one)
-  /// and clamps the current state, like GateSim::inject_stuck.  Two-state
-  /// mode only — the PPSFP campaign screens X-sensitive programs out to
-  /// the event-driven engine first; throws std::logic_error in four-state
-  /// mode.  An empty vector clears the overlay.
+  /// and clamps the current state, like GateSim::inject_stuck.  The PPSFP
+  /// campaign screens X-sensitive programs out to the event-driven engine
+  /// first.  An empty vector clears the overlay.
   void set_fault_overlay(const std::vector<LaneFault>& faults);
 
   using PortRef = const nl::PortBits*;
@@ -114,18 +95,12 @@ class CompiledSim {
   /// Drives all 64 lanes with the same scalar value.
   void set_input(const std::string& name, std::uint64_t value);
   void set_input(PortRef port, std::uint64_t value);
-  /// All bits unknown on every lane (four-state only; throws otherwise).
-  void set_input_x(const std::string& name);
-  /// Four-valued broadcast; X/Z bits require four_state (throws otherwise).
+  /// Four-valued broadcast; X/Z bits throw std::invalid_argument.
   void set_input_logic(const std::string& name, const scflow::LogicVector& bits);
 
   // --- pattern-word drivers (64 independent stimuli) ---
-  /// Drives bit @p bit of @p port with one pattern per lane, all known.
+  /// Drives bit @p bit of @p port with one pattern per lane.
   void set_input_word(PortRef port, std::size_t bit, std::uint64_t patterns);
-  /// Four-state variant with an explicit known mask (unknown lanes get
-  /// value 0 — the masked invariant is enforced here).
-  void set_input_word(PortRef port, std::size_t bit, std::uint64_t value,
-                      std::uint64_t known);
 
   /// Settles combinational logic: one straight-line pass over the ops.
   void settle();
@@ -133,18 +108,14 @@ class CompiledSim {
   void step();
 
   // --- reads ---
-  /// Lane-0 numeric output; requires all bits known (throws on X).
+  /// Lane-0 numeric output.
   [[nodiscard]] std::uint64_t output(const std::string& name);
   [[nodiscard]] std::uint64_t output(PortRef port);
-  [[nodiscard]] scflow::LogicVector output_bits(const std::string& name,
-                                                unsigned lane = 0) const;
-  /// Packed never-throwing sample of one lane (GateSim::PortSample shape,
-  /// so parity checks compare the two engines type-for-type).
+  /// Packed sample of one lane (GateSim::PortSample shape, always fully
+  /// known, so parity checks compare the two engines type-for-type).
   [[nodiscard]] GateSim::PortSample output_sample(PortRef port, unsigned lane = 0) const;
-  /// The raw 64 patterns of one output bit (and its known mask;
-  /// two-state reads return an all-ones mask).
+  /// The raw 64 patterns of one output bit.
   [[nodiscard]] std::uint64_t output_word(PortRef port, std::size_t bit) const;
-  [[nodiscard]] std::uint64_t output_known_word(PortRef port, std::size_t bit) const;
 
   // --- GateSim-parity observability ---
   /// Always empty: the checking RAM model is interpreter-only.
@@ -155,12 +126,9 @@ class CompiledSim {
   [[nodiscard]] std::uint64_t gate_evaluations() const { return counters_.evaluations; }
   [[nodiscard]] const SimCounters& counters() const { return counters_; }
 
-  [[nodiscard]] bool four_state() const { return options_.four_state; }
   [[nodiscard]] const CompiledProgram& program() const { return prog_; }
   /// Bytecode ops executed so far (skipped macro reads excluded).
   [[nodiscard]] std::uint64_t ops_executed() const { return ops_run_; }
-  /// 64-bit words written by those ops (two per op in four-state mode).
-  [[nodiscard]] std::uint64_t words_written() const { return words_; }
 
  private:
   struct MacroRt {
@@ -170,9 +138,8 @@ class CompiledSim {
     std::uint64_t wrote_mask = 0;
   };
   struct PortRt {
-    // Settled addr+en words at the last evaluation (four-state: value
-    // words then known words) — the change detector that reproduces
-    // GateSim's event-driven port dirtiness.
+    // Settled addr+en words at the last evaluation — the change detector
+    // that reproduces GateSim's event-driven port dirtiness.
     std::vector<std::uint64_t> stash;
     // (stash word, driven_ index) of each addr/en slot that is another
     // port's read data.
@@ -186,7 +153,7 @@ class CompiledSim {
   // against the slot as the drive left it, captured at settle start.
   struct DrivenData {
     std::uint32_t slot = 0;
-    std::uint64_t value = 0, known = 0;
+    std::uint64_t value = 0;
   };
 
   // One merged write-site clamp of the fault overlay: lanes in `mask`
@@ -201,27 +168,21 @@ class CompiledSim {
     Clamp clamp;
   };
 
-  CompiledSim(const nl::Netlist& netlist, Options options, CompiledProgram own,
+  CompiledSim(const nl::Netlist& netlist, CompiledProgram own,
               const CompiledProgram* shared);
 
-  template <bool FourState>
   void exec();
-  template <bool FourState>
   bool eval_macro_port(std::uint32_t pi);
-  template <bool FourState>
   void ram_writes();
   void apply_clamp(const Clamp& c) { vals_[c.slot] = (vals_[c.slot] & ~c.mask) | c.val; }
 
   [[nodiscard]] std::size_t in_index(PortRef port) const;
   [[nodiscard]] std::size_t out_index(PortRef port) const;
-  void drive_bit(std::uint32_t slot, std::uint64_t value, std::uint64_t known);
 
   const nl::Netlist* nl_;
-  Options options_;
   CompiledProgram prog_own_;     // owned compile when not sharing
   const CompiledProgram& prog_;  // the executed program (own or shared)
   std::vector<std::uint64_t> vals_;
-  std::vector<std::uint64_t> known_;  // four-state only
   std::vector<MacroRt> macro_rt_;
   std::vector<PortRt> port_rt_;
   std::vector<DrivenData> driven_;
@@ -245,7 +206,6 @@ class CompiledSim {
   SimCounters counters_;
   std::uint64_t cycles_ = 0;
   std::uint64_t ops_run_ = 0;
-  std::uint64_t words_ = 0;
 };
 
 }  // namespace scflow::hdlsim

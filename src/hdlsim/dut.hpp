@@ -78,8 +78,8 @@ class GateDut final : public Dut {
 /// compiled benches report.  Owns its netlist copy.
 class CompiledDut final : public Dut {
  public:
-  explicit CompiledDut(nl::Netlist netlist, CompiledSim::Options options = {})
-      : netlist_(std::move(netlist)), sim_(netlist_, options) {}
+  explicit CompiledDut(nl::Netlist netlist)
+      : netlist_(std::move(netlist)), sim_(netlist_) {}
   void set_input(const std::string& name, std::uint64_t value) override {
     sim_.set_input(name, value);
   }
@@ -109,20 +109,18 @@ class CompiledDut final : public Dut {
   std::vector<CompiledSim::PortRef> in_handles_, out_handles_;
 };
 
-/// Builds a gate DUT on the selected backend.  The compiled backend has no
-/// checking RAM model and no reference evaluator, so options requesting
-/// either fall back to the interpreter (as does Backend::kInterpreted
-/// itself).  Both engines simulate sequentially; the compiled engine's
-/// 64 pattern lanes are bit-parallel within one thread.
+/// Builds a gate DUT on the selected backend.  The compiled backend runs
+/// two-state and has no checking RAM model and no reference evaluator, so
+/// options requesting X power-up or either of those fall back to the
+/// interpreter (as does Backend::kInterpreted itself).  Both engines
+/// simulate sequentially; the compiled engine's 64 pattern lanes are
+/// bit-parallel within one thread.
 inline std::unique_ptr<Dut> make_gate_dut(nl::Netlist netlist,
                                           const GateSim::Options& options,
                                           Backend backend) {
-  if (backend == Backend::kCompiled && !options.check_ram &&
-      !options.use_reference_eval) {
-    CompiledSim::Options copt;
-    copt.x_initial_flops = options.x_initial_flops;
-    return std::make_unique<CompiledDut>(std::move(netlist), copt);
-  }
+  if (backend == Backend::kCompiled && !options.x_initial_flops && !options.check_ram &&
+      !options.use_reference_eval)
+    return std::make_unique<CompiledDut>(std::move(netlist));
   return std::make_unique<GateDut>(std::move(netlist), options);
 }
 

@@ -33,6 +33,8 @@ struct SimCounters {
   /// The table-driven engine keeps this at zero in steady state.
   std::uint64_t steady_state_allocs = 0;
 
+  friend bool operator==(const SimCounters&, const SimCounters&) = default;
+
   /// THE accessor that maps these fields into the unified metric registry
   /// ("<prefix>.evaluations", ...).  Every consumer (run_src_netlist
   /// results, the testbench VM, the cosim bridge, the benches) goes

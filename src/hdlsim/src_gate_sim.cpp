@@ -105,13 +105,12 @@ GateRunResult run_src_netlist(const nl::Netlist& netlist, dsp::SrcMode mode,
                               const std::vector<dsp::SrcEvent>& events,
                               GateSim::Options options, std::uint64_t deadline_ns,
                               Backend backend) {
-  // The checking RAM model and the reference evaluator only exist in the
-  // interpreter; requesting either overrides the backend choice.
-  if (backend == Backend::kCompiled && !options.check_ram &&
+  // X power-up, the checking RAM model and the reference evaluator only
+  // exist in the interpreter; requesting any of them overrides the
+  // backend choice.
+  if (backend == Backend::kCompiled && !options.x_initial_flops && !options.check_ram &&
       !options.use_reference_eval) {
-    CompiledSim::Options copt;
-    copt.x_initial_flops = options.x_initial_flops;
-    CompiledSim sim(netlist, copt);
+    CompiledSim sim(netlist);
     return run_impl(sim, netlist, mode, events, deadline_ns);
   }
   GateSim sim(netlist, options);

@@ -32,9 +32,9 @@ struct GateRunResult {
 /// on expiry the run stops and flags GateRunResult::timed_out.
 /// @p backend selects the engine; Backend::kCompiled falls back to the
 /// interpreter when the options request interpreter-only features
-/// (check_ram, use_reference_eval).  The compiled engine runs two-state
-/// (four-state when x_initial_flops) and is bit-exact with the
-/// interpreter on these fully defined schedules.
+/// (x_initial_flops, check_ram, use_reference_eval).  The compiled engine
+/// runs two-state and is bit-exact with the interpreter on these fully
+/// defined schedules.
 GateRunResult run_src_netlist(const nl::Netlist& netlist, dsp::SrcMode mode,
                               const std::vector<dsp::SrcEvent>& events,
                               GateSim::Options options = GateSim::Options(),

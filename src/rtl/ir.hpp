@@ -105,15 +105,11 @@ class Design {
   // --- access ---
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
   [[nodiscard]] const Node& node(NodeId id) const { return nodes_[static_cast<std::size_t>(id)]; }
-  [[nodiscard]] Node& node_mut(NodeId id) { return nodes_[static_cast<std::size_t>(id)]; }
   [[nodiscard]] const std::vector<Register>& registers() const { return regs_; }
-  [[nodiscard]] std::vector<Register>& registers_mut() { return regs_; }
   [[nodiscard]] const std::vector<Memory>& memories() const { return mems_; }
-  [[nodiscard]] std::vector<Memory>& memories_mut() { return mems_; }
   [[nodiscard]] const std::vector<Rom>& roms() const { return roms_; }
   [[nodiscard]] const std::vector<PortDef>& inputs() const { return ins_; }
   [[nodiscard]] const std::vector<PortDef>& outputs() const { return outs_; }
-  [[nodiscard]] std::vector<PortDef>& outputs_mut() { return outs_; }
 
   /// Checks that every register has a next function, all widths are
   /// positive and argument references are in range.  Throws on violation.

@@ -58,19 +58,23 @@ std::optional<std::uint64_t> fold_const(const Design& d, const Node& n,
   }
 }
 
+/// Rebuilds on the fixpoint; the first build counts as one.
+constexpr int kMaxRebuilds = 4;
+
 struct Rebuilder {
   const Design& src;
-  const PassOptions& opts;
   Design out;
   std::vector<NodeId> remap;
   std::map<std::tuple<int, int, std::vector<NodeId>, std::int64_t>, NodeId> hash;
   std::size_t folded = 0;
 
-  explicit Rebuilder(const Design& s, const PassOptions& o)
-      : src(s), opts(o), out(s.name()), remap(s.nodes().size(), kNoNode) {}
+  explicit Rebuilder(const Design& s)
+      : src(s), out(s.name()), remap(s.nodes().size(), kNoNode) {}
 
+  /// Emits @p n, structurally hashed (CSE) unless it is a state or input
+  /// node.
   NodeId emit(Node n) {
-    if (opts.cse && n.op != Op::kRegQ && n.op != Op::kInput && n.op != Op::kRamRead) {
+    if (n.op != Op::kRegQ && n.op != Op::kInput && n.op != Op::kRamRead) {
       auto key = std::make_tuple(static_cast<int>(n.op), n.width, n.args, n.imm);
       const auto it = hash.find(key);
       if (it != hash.end()) return it->second;
@@ -132,7 +136,7 @@ struct Rebuilder {
     const auto live = src.live_nodes();
     for (std::size_t i = 0; i < src.nodes().size(); ++i) {
       const Node& n = src.nodes()[i];
-      if (opts.dce && !live[i] && n.op != Op::kInput) continue;
+      if (!live[i] && n.op != Op::kInput) continue;
       if (n.op == Op::kRegQ) {
         remap[i] = out.registers()[static_cast<std::size_t>(n.imm)].q;
         continue;
@@ -141,27 +145,23 @@ struct Rebuilder {
         remap[i] = out.input(n.name, n.width);
         continue;
       }
-      if (opts.constant_fold) {
-        if (auto v = fold_const(src, n, out.nodes(), remap)) {
-          remap[i] = emit([&] {
-            Node c;
-            c.op = Op::kConst;
-            c.width = n.width;
-            c.imm = static_cast<std::int64_t>(*v);
-            return c;
-          }());
-          ++folded;
-          continue;
-        }
+      if (auto v = fold_const(src, n, out.nodes(), remap)) {
+        remap[i] = emit([&] {
+          Node c;
+          c.op = Op::kConst;
+          c.width = n.width;
+          c.imm = static_cast<std::int64_t>(*v);
+          return c;
+        }());
+        ++folded;
+        continue;
       }
       Node copy = n;
       for (NodeId& a : copy.args) a = mapped(a);
-      if (opts.constant_fold) {
-        if (auto id = identity(n, copy.args)) {
-          remap[i] = *id;
-          ++folded;
-          continue;
-        }
+      if (auto id = identity(n, copy.args)) {
+        remap[i] = *id;
+        ++folded;
+        continue;
       }
       remap[i] = emit(std::move(copy));
     }
@@ -178,148 +178,24 @@ struct Rebuilder {
   }
 };
 
-/// Merges registers whose (width, reset, next, enable) coincide after CSE:
-/// all-but-one become aliases.  Returns the number of merges performed.
-std::size_t merge_identical_registers(Design& d) {
-  std::map<std::tuple<int, std::int64_t, NodeId, NodeId>, std::size_t> groups;
-  std::vector<std::size_t> alias(d.registers().size());
-  std::size_t merged = 0;
-  for (std::size_t r = 0; r < d.registers().size(); ++r) {
-    const Register& reg = d.registers()[r];
-    const auto key = std::make_tuple(reg.width, reg.reset_value, reg.next, reg.enable);
-    const auto [it, inserted] = groups.emplace(key, r);
-    alias[r] = it->second;
-    if (!inserted) ++merged;
-  }
-  if (merged == 0) return 0;
-  // Redirect q references of merged registers to the group leader's q.
-  std::vector<NodeId> q_replacement(d.nodes().size(), kNoNode);
-  for (std::size_t r = 0; r < d.registers().size(); ++r) {
-    if (alias[r] != r)
-      q_replacement[static_cast<std::size_t>(d.registers()[r].q)] =
-          d.registers()[alias[r]].q;
-  }
-  auto redirect = [&](NodeId& id) {
-    if (id != kNoNode && q_replacement[static_cast<std::size_t>(id)] != kNoNode)
-      id = q_replacement[static_cast<std::size_t>(id)];
-  };
-  for (std::size_t i = 0; i < d.nodes().size(); ++i) {
-    Node& n = d.node_mut(static_cast<NodeId>(i));
-    for (NodeId& a : n.args) redirect(a);
-  }
-  for (Register& r : d.registers_mut()) {
-    redirect(r.next);
-    redirect(r.enable);
-  }
-  for (Memory& m : d.memories_mut()) {
-    redirect(m.write_addr);
-    redirect(m.write_data);
-    redirect(m.write_enable);
-  }
-  for (PortDef& o : d.outputs_mut()) redirect(o.node);
-  // Drop the now-unreferenced duplicate registers: rebuild register list.
-  // Their q nodes become dead and a later DCE pass removes them.
-  std::vector<Register> kept;
-  std::vector<std::size_t> new_index(d.registers().size());
-  for (std::size_t r = 0; r < d.registers().size(); ++r) {
-    if (alias[r] == r) {
-      new_index[r] = kept.size();
-      kept.push_back(d.registers()[r]);
-    }
-  }
-  for (const Register& r : kept)
-    d.node_mut(r.q).imm = static_cast<std::int64_t>(new_index[static_cast<std::size_t>(
-        d.node(r.q).imm)]);
-  d.registers_mut() = std::move(kept);
-  return merged;
-}
-
-/// Removes registers whose q node is unreachable from any output, memory
-/// port or *other* register's logic.
-std::size_t sweep_dead_regs(Design& d) {
-  const auto live = d.live_nodes();
-  // A register is dead if its q is only reachable through its own next
-  // chain.  Approximate conservatively: drop registers whose q has no
-  // liveness at all (live_nodes marks q of every register, so compute
-  // reachability from outputs/memories only).
-  std::vector<bool> reach(d.nodes().size(), false);
-  std::vector<NodeId> work;
-  auto mark = [&](NodeId id) {
-    if (id != kNoNode && !reach[static_cast<std::size_t>(id)]) {
-      reach[static_cast<std::size_t>(id)] = true;
-      work.push_back(id);
-    }
-  };
-  for (const PortDef& o : d.outputs()) mark(o.node);
-  for (const Memory& m : d.memories()) {
-    mark(m.write_addr);
-    mark(m.write_data);
-    mark(m.write_enable);
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    while (!work.empty()) {
-      const NodeId id = work.back();
-      work.pop_back();
-      for (NodeId a : d.node(id).args) mark(a);
-    }
-    // Registers whose q is reached pull in their next/enable cones.
-    for (const Register& r : d.registers()) {
-      if (reach[static_cast<std::size_t>(r.q)] &&
-          !reach[static_cast<std::size_t>(r.next)]) {
-        mark(r.next);
-        mark(r.enable);
-        changed = true;
-      }
-    }
-  }
-  (void)live;
-  std::vector<Register> kept;
-  std::vector<std::size_t> new_index(d.registers().size());
-  std::size_t removed = 0;
-  for (std::size_t r = 0; r < d.registers().size(); ++r) {
-    if (reach[static_cast<std::size_t>(d.registers()[r].q)]) {
-      new_index[r] = kept.size();
-      kept.push_back(d.registers()[r]);
-    } else {
-      ++removed;
-    }
-  }
-  if (removed == 0) return 0;
-  for (const Register& r : kept)
-    d.node_mut(r.q).imm = static_cast<std::int64_t>(
-        new_index[static_cast<std::size_t>(d.node(r.q).imm)]);
-  d.registers_mut() = std::move(kept);
-  return removed;
-}
-
 }  // namespace
 
-Design run_passes(const Design& design, const PassOptions& options, PassStats* stats) {
+Design run_passes(const Design& design, PassStats* stats) {
   PassStats local;
   local.nodes_before = design.nodes().size();
   local.registers_before = design.registers().size();
 
   Design current("tmp");
   {
-    Rebuilder rb(design, options);
+    Rebuilder rb(design);
     rb.run();
     local.folded += rb.folded;
     current = std::move(rb.out);
   }
-  for (int it = 1; it < options.max_iterations; ++it) {
-    bool changed = false;
-    if (options.merge_registers)
-      if (const auto m = merge_identical_registers(current); m > 0) {
-        local.merged_registers += m;
-        changed = true;
-      }
-    if (options.sweep_dead_registers)
-      if (sweep_dead_regs(current) > 0) changed = true;
-    Rebuilder rb(current, options);
+  for (int it = 1; it < kMaxRebuilds; ++it) {
+    Rebuilder rb(current);
     rb.run();
-    if (rb.out.nodes().size() != current.nodes().size() || rb.folded > 0) changed = true;
+    const bool changed = rb.out.nodes().size() != current.nodes().size() || rb.folded > 0;
     local.folded += rb.folded;
     current = std::move(rb.out);
     if (!changed) break;

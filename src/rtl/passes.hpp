@@ -10,27 +10,17 @@
 
 namespace scflow::rtl {
 
-struct PassOptions {
-  bool constant_fold = true;   ///< + cheap algebraic identities
-  bool cse = true;             ///< structural hashing
-  bool dce = true;             ///< unreachable-node removal
-  bool merge_registers = false;  ///< unify registers with identical D/EN/reset
-  bool sweep_dead_registers = false;  ///< drop registers nothing reads
-  int max_iterations = 4;
-};
-
 struct PassStats {
   std::size_t nodes_before = 0;
   std::size_t nodes_after = 0;
   std::size_t registers_before = 0;
   std::size_t registers_after = 0;
   std::size_t folded = 0;
-  std::size_t merged_registers = 0;
 };
 
-/// Runs the selected passes to a fixpoint (bounded by max_iterations) and
-/// returns the optimised design.
-Design run_passes(const Design& design, const PassOptions& options,
-                  PassStats* stats = nullptr);
+/// Runs constant folding (plus cheap algebraic identities), structural
+/// hashing and unreachable-node removal to a fixpoint (at most four
+/// rebuilds) and returns the optimised design.
+Design run_passes(const Design& design, PassStats* stats = nullptr);
 
 }  // namespace scflow::rtl

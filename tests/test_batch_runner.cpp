@@ -35,8 +35,7 @@ void expect_same_counters(const SimCounters& a, const SimCounters& b, const std:
 }
 
 nl::Netlist synthesise_src() {
-  rtl::PassOptions popt;
-  const rtl::Design optimised = rtl::run_passes(rtl::build_src_design(rtl::rtl_opt_config()), popt);
+  const rtl::Design optimised = rtl::run_passes(rtl::build_src_design(rtl::rtl_opt_config()));
   nl::Netlist gates = nl::lower_to_gates(optimised);
   gates = nl::optimize_gates(gates);
   return gates;

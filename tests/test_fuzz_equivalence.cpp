@@ -8,7 +8,6 @@
 #include <random>
 
 #include "dtypes/bit_int.hpp"
-#include "hdlsim/compiled_sim.hpp"
 #include "hdlsim/gate_sim.hpp"
 #include "netlist/lower.hpp"
 #include "netlist/opt.hpp"
@@ -91,7 +90,7 @@ class FuzzEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(FuzzEquivalence, InterpreterMatchesOptimisedGates) {
   std::mt19937_64 rng(0xF00D + static_cast<unsigned>(GetParam()));
   const Design d = random_design(rng, 24);
-  const Design optimised = rtl::run_passes(d, rtl::PassOptions{});
+  const Design optimised = rtl::run_passes(d);
   nl::Netlist gates = nl::lower_to_gates(optimised);
   gates = nl::optimize_gates(gates);
 
@@ -131,12 +130,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalence, ::testing::Range(0, 24));
 // random_gate_netlist / random_logic_vector live in netlist_fuzz.hpp,
 // shared with the compiled-backend differential in test_compiled_sim.
 
-/// 1000 netlists sharded across parallel-friendly gtest cases; each runs a
-/// three-way differential on identical four-valued stimulus: the
-/// table-driven sim against the reference-evaluator sim (bit-identical
-/// outputs every cycle, 'Z' included) and against the compiled four-state
-/// backend (X-masked: Z collapses to unknown, so knownness and known
-/// values must match).
+/// 1000 netlists sharded across parallel-friendly gtest cases; each runs
+/// the table-driven sim against the reference-evaluator sim on identical
+/// four-valued stimulus (bit-identical outputs every cycle, 'Z' included).
 class GateFuzzTableVsReference : public ::testing::TestWithParam<int> {};
 
 TEST_P(GateFuzzTableVsReference, BitIdenticalOverRandomNetlists) {
@@ -156,13 +152,6 @@ TEST_P(GateFuzzTableVsReference, BitIdenticalOverRandomNetlists) {
     (void)rng();
     hdlsim::GateSim table(n, table_opts);
     hdlsim::GateSim ref(n, ref_opts);
-    // Third leg: the compiled bit-parallel backend in four-state mode,
-    // broadcast-driven with the same stimulus.  Z collapses to X there,
-    // so the comparison is X-masked rather than string-exact.
-    hdlsim::CompiledSim::Options comp_opts;
-    comp_opts.four_state = true;
-    comp_opts.x_initial_flops = table_opts.x_initial_flops;
-    hdlsim::CompiledSim comp(n, comp_opts);
 
     const int cycles = 12;
     for (int cycle = 0; cycle < cycles; ++cycle) {
@@ -170,50 +159,19 @@ TEST_P(GateFuzzTableVsReference, BitIdenticalOverRandomNetlists) {
         const LogicVector v = random_logic_vector(rng, in.nets.size(), /*allow_xz=*/cycle > 2);
         table.set_input_logic(in.name, v);
         ref.set_input_logic(in.name, v);
-        comp.set_input_logic(in.name, v);
       }
       table.settle();
       ref.settle();
-      comp.settle();
       for (const auto& out : n.outputs()) {
         ASSERT_EQ(table.output_bits(out.name).to_string(), ref.output_bits(out.name).to_string())
             << "seed " << seed << " cycle " << cycle << " output " << out.name;
-        const LogicVector want = table.output_bits(out.name);
-        const LogicVector got = comp.output_bits(out.name, /*lane=*/0);
-        ASSERT_EQ(want.width(), got.width());
-        for (std::size_t b = 0; b < want.width(); ++b) {
-          const bool known = logic_is_01(want.at(b));
-          ASSERT_EQ(known, logic_is_01(got.at(b)))
-              << "seed " << seed << " cycle " << cycle << " output " << out.name
-              << " bit " << b << " knownness (gate " << want.to_string() << " vs compiled "
-              << got.to_string() << ")";
-          if (known) {
-            ASSERT_EQ(want.at(b), got.at(b))
-                << "seed " << seed << " cycle " << cycle << " output " << out.name
-                << " bit " << b;
-          }
-        }
-      }
-      // Broadcast stimulus must keep every pattern lane identical: each
-      // output bit's value/known words are all-zeros or all-ones.
-      if (cycle == cycles - 1) {
-        for (const auto& out : n.outputs()) {
-          const auto port = comp.output_port(out.name);
-          for (std::size_t b = 0; b < out.nets.size(); ++b) {
-            const std::uint64_t v = comp.output_word(port, b);
-            const std::uint64_t k = comp.output_known_word(port, b);
-            ASSERT_TRUE(v == 0 || v == ~0ull) << "seed " << seed << " lane skew";
-            ASSERT_TRUE(k == 0 || k == ~0ull) << "seed " << seed << " lane skew";
-          }
-        }
       }
       table.step();
       ref.step();
-      comp.step();
     }
-    // The two engines must agree on the work metrics too: neither the LUT
-    // path nor the thread count may change which evaluations happen, how
-    // many fresh dirty transitions occur, or the queue high-water mark.
+    // The two evaluators must agree on the work metrics too: the LUT path
+    // may not change which evaluations happen, how many fresh dirty
+    // transitions occur, or the queue high-water mark.
     ASSERT_EQ(table.counters().evaluations, ref.counters().evaluations) << "seed " << seed;
     ASSERT_EQ(table.counters().dirty_pushes, ref.counters().dirty_pushes) << "seed " << seed;
     ASSERT_EQ(table.counters().peak_queue_depth, ref.counters().peak_queue_depth)

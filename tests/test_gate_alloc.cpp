@@ -60,8 +60,7 @@ namespace scflow::hdlsim {
 namespace {
 
 void run_alloc_check(const GateSim::Options& opts) {
-  rtl::PassOptions popt;
-  const rtl::Design optimised = rtl::run_passes(rtl::build_src_design(rtl::rtl_opt_config()), popt);
+  const rtl::Design optimised = rtl::run_passes(rtl::build_src_design(rtl::rtl_opt_config()));
   nl::Netlist gates = nl::lower_to_gates(optimised);
   gates = nl::optimize_gates(gates);
   nl::insert_scan_chain(gates);

@@ -36,8 +36,7 @@ std::vector<dsp::StereoSample> golden(SrcMode mode, const std::vector<dsp::SrcEv
 }
 
 nl::Netlist synthesise(const rtl::Design& d) {
-  rtl::PassOptions popt;
-  const rtl::Design optimised = rtl::run_passes(d, popt);
+  const rtl::Design optimised = rtl::run_passes(d);
   nl::Netlist gates = nl::lower_to_gates(optimised);
   gates = nl::optimize_gates(gates);
   nl::insert_scan_chain(gates);

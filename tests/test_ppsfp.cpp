@@ -93,7 +93,7 @@ TEST(PpsfpOverlay, MatchesInjectStuckPerLane) {
   const unsigned lanes =
       static_cast<unsigned>(std::min<std::size_t>(faults.size(), 64));
 
-  hdlsim::CompiledSim cs(n, prog, {});
+  hdlsim::CompiledSim cs(n, prog);
   std::vector<hdlsim::CompiledSim::LaneFault> overlay;
   for (unsigned l = 0; l < lanes; ++l)
     overlay.push_back({faults[l].net, faults[l].stuck_one, l});
@@ -129,12 +129,6 @@ TEST(PpsfpOverlay, MatchesInjectStuckPerLane) {
       }
     }
   }
-}
-
-TEST(PpsfpOverlay, FourStateModeRejectsOverlay) {
-  const nl::Netlist n = scan_accumulator();
-  hdlsim::CompiledSim cs(n, {.four_state = true});
-  EXPECT_THROW(cs.set_fault_overlay({{0, false, 0}}), std::logic_error);
 }
 
 // --- campaign-level differential oracle ---------------------------------

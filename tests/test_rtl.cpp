@@ -166,7 +166,7 @@ TEST(RtlPasses, ConstantFoldingCollapsesConstantCones) {
   Design d = b.finalise();
 
   PassStats st;
-  Design opt = run_passes(d, PassOptions{}, &st);
+  Design opt = run_passes(d, &st);
   EXPECT_GT(st.folded, 0u);
   Interpreter it(opt);
   it.set_input("a", 100);
@@ -182,7 +182,7 @@ TEST(RtlPasses, CseMergesIdenticalExpressions) {
   b.output("o", b.xor_(x, y));    // folds to 0 after CSE + x^x
   Design d = b.finalise();
 
-  Design opt = run_passes(d, PassOptions{});
+  Design opt = run_passes(d);
   EXPECT_LT(opt.nodes().size(), d.nodes().size());
   Interpreter it(opt);
   it.set_input("a", 41);
@@ -194,7 +194,7 @@ TEST(RtlPasses, AddZeroIdentity) {
   DesignBuilder b("ident");
   auto a = b.input("a", 16);
   b.output("o", b.add(a, b.c(16, 0)));
-  Design opt = run_passes(b.finalise(), PassOptions{});
+  Design opt = run_passes(b.finalise());
   // Output should collapse to the input node directly.
   Interpreter it(opt);
   it.set_input("a", 1234);
@@ -204,49 +204,6 @@ TEST(RtlPasses, AddZeroIdentity) {
   for (const auto& n : opt.nodes())
     if (n.op == Op::kAdd) ++adders;
   EXPECT_EQ(adders, 0u);
-}
-
-TEST(RtlPasses, RegisterMergeUnifiesDuplicates) {
-  DesignBuilder b("dupregs");
-  auto a = b.input("a", 8);
-  auto r1 = b.reg("r1", 8);
-  auto r2 = b.reg("r2", 8);  // identical duplicate
-  b.assign_always(r1, a);
-  b.assign_always(r2, a);
-  b.output("o", b.add(r1.q, r2.q));
-  Design d = b.finalise();
-
-  PassOptions opts;
-  opts.merge_registers = true;
-  PassStats st;
-  Design opt = run_passes(d, opts, &st);
-  EXPECT_EQ(st.merged_registers, 1u);
-  EXPECT_EQ(opt.registers().size(), 1u);
-
-  Interpreter it(opt);
-  it.set_input("a", 21);
-  it.step();
-  it.evaluate();
-  EXPECT_EQ(it.output("o"), 42u);
-}
-
-TEST(RtlPasses, DeadRegisterSweepRemovesUnreadRegisters) {
-  DesignBuilder b("deadreg");
-  auto a = b.input("a", 8);
-  auto used = b.reg("used", 8);
-  auto dead = b.reg("dead", 8);      // feeds nothing
-  auto self = b.reg("self", 8);      // feeds only itself
-  b.assign_always(used, a);
-  b.assign_always(dead, a);
-  b.assign_always(self, b.add(self.q, b.c(8, 1)));
-  b.output("o", used.q);
-  Design d = b.finalise();
-
-  PassOptions opts;
-  opts.sweep_dead_registers = true;
-  Design opt = run_passes(d, opts);
-  EXPECT_EQ(opt.registers().size(), 1u);
-  EXPECT_EQ(opt.registers()[0].name, "used");
 }
 
 TEST(RtlPasses, PassesPreserveSequentialBehaviour) {
@@ -264,10 +221,7 @@ TEST(RtlPasses, PassesPreserveSequentialBehaviour) {
   b.output("cnt", cnt.q);
   Design d = b.finalise();
 
-  PassOptions opts;
-  opts.merge_registers = true;
-  opts.sweep_dead_registers = true;
-  Design opt = run_passes(d, opts);
+  Design opt = run_passes(d);
 
   Interpreter ref(d), fast(opt);
   std::mt19937_64 rng(99);
@@ -291,7 +245,7 @@ TEST(RtlPasses, RomReadWithConstantAddressFolds) {
   DesignBuilder b("romfold");
   const int r = b.rom("tbl", 3, 8, {1, 2, 3, 4, 5, 6, 7, 8});
   b.output("o", b.rom_read(r, b.c(3, 5)));
-  Design opt = run_passes(b.finalise(), PassOptions{});
+  Design opt = run_passes(b.finalise());
   Interpreter it(opt);
   it.evaluate();
   EXPECT_EQ(it.output("o"), 6u);

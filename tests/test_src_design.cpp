@@ -98,9 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SrcDesigns, OptimisedDesignSurvivesPasses) {
   const auto ev = schedule(SrcMode::k44_1To48, 200, 3);
   const auto want = golden(SrcMode::k44_1To48, ev);
-  PassOptions popt;
-  popt.merge_registers = true;
-  const Design d = run_passes(build_src_design(rtl_opt_config()), popt);
+  const Design d = run_passes(build_src_design(rtl_opt_config()));
   const auto got = run_src_design(d, SrcMode::k44_1To48, ev);
   ASSERT_EQ(got.outputs.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got.outputs[i], want[i]);
