@@ -1,7 +1,7 @@
 // 64-pattern word utilities shared by every bit-parallel engine in the
-// tree: formal::Aig::simulate, the compiled gate backend
-// (hdlsim::CompiledSim) and the CEC random-simulation passes all pack 64
-// independent two-state patterns into one machine word.  One definition
+// tree: formal::Aig::simulate (CEC's random simulation), the compiled
+// gate backend (hdlsim::CompiledSim) and the PPSFP fault lanes all pack
+// 64 independent two-state patterns into one machine word.  One definition
 // of the mixing / stream-generation / lane primitives keeps their pattern
 // streams and lane conventions identical across engines.
 #pragma once
@@ -10,7 +10,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace scflow::core {
 
@@ -36,39 +35,12 @@ struct SplitMix64 {
   }
 };
 
-/// Deterministic 64-bit string hash (mix64-folded bytes), for deriving
-/// per-port pattern streams keyed by port name so two independently
-/// constructed simulators agree on the stimulus without sharing state.
-[[nodiscard]] constexpr std::uint64_t hash_str(std::string_view s) {
-  std::uint64_t h = 0x243f6a8885a308d3ull;  // pi, nothing-up-my-sleeve
-  for (const char c : s) h = mix64(h ^ static_cast<std::uint8_t>(c));
-  return h;
-}
-
-/// The pattern word for (seed, name-hash, round, bit): the shared-stimulus
-/// contract of the CEC compiled pre-pass — both sides derive each input
-/// bit's 64 patterns from this one function, so identically named ports
-/// see identical stimulus with no cross-simulator plumbing.
-[[nodiscard]] constexpr std::uint64_t pattern_word(std::uint64_t seed,
-                                                  std::uint64_t name_hash,
-                                                  unsigned round, unsigned bit) {
-  return mix64(seed + mix64(name_hash + mix64((std::uint64_t{round} << 32) + bit)));
-}
-
 /// Lane accessors: pattern lane @p lane (0..63) of word @p w.
 [[nodiscard]] constexpr bool word_lane(std::uint64_t w, unsigned lane) {
   return ((w >> lane) & 1u) != 0;
 }
-constexpr void word_set_lane(std::uint64_t& w, unsigned lane, bool v) {
-  const std::uint64_t m = std::uint64_t{1} << lane;
-  w = v ? (w | m) : (w & ~m);
-}
 /// All 64 lanes driven with the same scalar bit.
 [[nodiscard]] constexpr std::uint64_t word_broadcast(bool v) { return v ? ~0ull : 0ull; }
-/// AIG-style phase application: complement the whole word when inverted.
-[[nodiscard]] constexpr std::uint64_t word_phase(std::uint64_t w, bool invert) {
-  return invert ? ~w : w;
-}
 
 namespace detail {
 /// In-place transpose of the 64/P side-by-side P x P bit blocks of

@@ -237,6 +237,13 @@ bool RationalSrc::load_state(core::StateReader& r) {
   outputs_ = r.u64();
   core_inputs_ = r.u64();
   core_outputs_ = r.u64();
+  // push() leaves the core drained up to the next input's timestamp, so
+  // the output cursor follows from the input cursor; a mismatch would make
+  // the next push drain an arbitrarily long stretch of the timeline.
+  const std::uint64_t drained =
+      core_inputs_ == 0 ? 0
+                        : ((core_inputs_ + 1) * core_in_period_ps_ - 1) / core_out_period_ps_;
+  if (core_outputs_ != drained) return false;
   if (!core_.load_state(r)) return false;
   if (r.u64() != pre_.size()) return false;  // plan shape must match the config
   for (IntegerStage& s : pre_) {
@@ -247,7 +254,7 @@ bool RationalSrc::load_state(core::StateReader& r) {
     if (!s.load_state(r)) return false;
   }
   const std::uint64_t carry = r.u64();
-  if (carry > (1u << 20)) return false;  // garbage guard: carry is tiny in practice
+  if (carry > r.remaining() / 4) return false;  // two i16 per sample must be present
   ready_.clear();
   ready_read_ = 0;
   for (std::uint64_t i = 0; i < carry; ++i) {

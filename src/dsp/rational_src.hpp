@@ -160,8 +160,9 @@ class RationalSrc {
   /// that a converter reconstructed with the same (fs_in, fs_out, time
   /// base) and then load_state()ed produces the byte-identical remaining
   /// output stream.  load_state returns false (leaving the converter
-  /// unusable) on truncated or shape-mismatched payloads; it never reads
-  /// out of bounds.
+  /// unusable) on truncated or shape-mismatched payloads, or when the
+  /// core output cursor is not where the input cursor's timeline puts it;
+  /// it never reads out of bounds.
   void save_state(core::StateWriter& w) const;
   [[nodiscard]] bool load_state(core::StateReader& r);
 

@@ -10,7 +10,6 @@
 #include "formal/aig.hpp"
 #include "formal/bitblast.hpp"
 #include "formal/sat.hpp"
-#include "hdlsim/compiled_sim.hpp"
 #include "hdlsim/gate_sim.hpp"
 #include "kernel/vcd.hpp"
 #include "obs/ledger.hpp"
@@ -23,16 +22,10 @@ namespace {
 // Engine tuning, the same for every check.  options_fingerprint still
 // hashes each of them, in their historical order, so ledger entries stay
 // comparable across versions.
-constexpr bool kFraigSweep = true;  // SAT-sweep internal candidate equivalences
-constexpr int kSimRounds = 4;       // rounds of 64 random patterns each
-// Netlist-vs-netlist only: before touching the AIG's random simulation,
-// run kSimRounds rounds of shared name-keyed patterns through the
-// two-state compiled simulator on both comb_views.
-constexpr bool kCompiledPresim = true;
+constexpr int kSimRounds = 4;  // rounds of 64 random patterns each
 constexpr std::uint64_t kSweepConflictLimit = 200;  // per sweep SAT call
 constexpr std::uint64_t kSweepMaxChecks = 10000;    // total sweep SAT calls
 constexpr std::uint64_t kFinalConflictLimit = 0;    // per output bit; 0 = unbounded
-constexpr bool kReplay = true;  // replay counterexamples through GateSim
 
 struct CompareBit {
   const std::string* name;
@@ -240,14 +233,14 @@ std::uint64_t options_fingerprint(const CecOptions& opt) {
   h.update_str("cec-options-v1");
   for (const auto& s : opt.tie_zero_inputs) h.update_str(s);
   for (const auto& s : opt.ignore_outputs) h.update_str(s);
-  h.update_u64(kFraigSweep ? 1 : 0);
+  h.update_u64(1);  // fraig sweep, always on
   h.update_u64(static_cast<std::uint64_t>(kSimRounds));
-  h.update_u64(kCompiledPresim ? 1 : 0);
+  h.update_u64(1);  // retired compiled pre-pass flag: keeps ledger fingerprints comparable
   h.update_u64(kSweepConflictLimit);
   h.update_u64(kSweepMaxChecks);
   h.update_u64(kFinalConflictLimit);
   h.update_u64(opt.seed);
-  h.update_u64(kReplay ? 1 : 0);
+  h.update_u64(1);  // GateSim replay, always on
   return h.digest();
 }
 
@@ -257,8 +250,6 @@ void record_metrics(obs::Registry* reg, const CecOptions& opt, const CecStats& s
   if (reg == nullptr) return;
   const std::string& p = opt.metric_prefix;
   reg->set_counter(p + ".aig_nodes", st.aig_nodes);
-  reg->set_counter(p + ".presim_rounds", st.presim_rounds);
-  reg->set_counter(p + ".presim_ops", st.presim_ops);
   reg->set_counter(p + ".compare_points", st.compare_points);
   reg->set_counter(p + ".compare_bits", st.compare_bits);
   reg->set_counter(p + ".bits_structural", st.bits_structural);
@@ -281,8 +272,6 @@ void record_metrics(obs::Registry* reg, const CecOptions& opt, const CecStats& s
     e.options_fingerprint = options_fingerprint(opt);
     e.duration_ns = duration_ns;
     e.add_counter("aig_nodes", st.aig_nodes);
-    e.add_counter("presim_rounds", st.presim_rounds);
-    e.add_counter("presim_ops", st.presim_ops);
     e.add_counter("compare_points", st.compare_points);
     e.add_counter("compare_bits", st.compare_bits);
     e.add_counter("bits_structural", st.bits_structural);
@@ -396,103 +385,10 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
     res.stats.sat_conflicts = eng.solver.stats().conflicts;
     res.stats.sat_decisions = eng.solver.stats().decisions;
     res.stats.sat_propagations = eng.solver.stats().propagations;
-    if (res.cex && kReplay) replay_cex(*res.cex, a_nl, b);
+    if (res.cex) replay_cex(*res.cex, a_nl, b);
     record_metrics(reg, opt, res.stats, res, input_hash, elapsed_ns());
     return res;
   };
-
-  // --- compiled-simulation pre-pass: bit-parallel refutation -------------
-  // Netlist-vs-netlist only: run both flop-stripped comb_views through the
-  // two-state compiled engine on identical name-keyed pattern words
-  // (core::pattern_word — each side derives its stimulus independently, so
-  // same-named ports agree without shared state; the VarMap has already
-  // enforced that shared names carry matching widths).  A differing output
-  // word refutes equivalence before any AIG node words are allocated, and
-  // the counterexample comes from an engine independent of the bitblaster.
-  if (kCompiledPresim && a_nl != nullptr) {
-    const nl::Netlist view_a = comb_view(*a_nl);
-    const nl::Netlist view_b = comb_view(b);
-    hdlsim::CompiledSim sim_a(view_a);
-    hdlsim::CompiledSim sim_b(view_b);
-    const auto tied = [&](const std::string& name) {
-      for (const auto& t : opt.tie_zero_inputs)
-        if (t == name) return true;
-      return false;
-    };
-    // Output ports compared: exactly the both-sided, non-ignored points.
-    std::vector<const std::string*> shared_outs;
-    for (const auto& [name, sides] : points) {
-      if (sides.first == nullptr || sides.second == nullptr) continue;
-      bool ignored = false;
-      for (const auto& ig : opt.ignore_outputs) ignored |= ig == name;
-      if (!ignored) shared_outs.push_back(&name);
-    }
-    const auto drive = [&](hdlsim::CompiledSim& sim, const nl::Netlist& view, int round) {
-      for (const nl::PortBits& p : view.inputs()) {
-        const auto port = sim.input_port(p.name);
-        const std::uint64_t h = core::hash_str(p.name);
-        const bool tie = tied(p.name);
-        for (std::size_t i = 0; i < p.nets.size(); ++i)
-          sim.set_input_word(port, i,
-                             tie ? 0
-                                 : core::pattern_word(opt.seed, h,
-                                                      static_cast<unsigned>(round),
-                                                      static_cast<unsigned>(i)));
-      }
-    };
-    for (int r = 0; r < kSimRounds; ++r) {
-      drive(sim_a, view_a, r);
-      drive(sim_b, view_b, r);
-      sim_a.settle();
-      sim_b.settle();
-      eng.stats.presim_rounds = static_cast<std::size_t>(r) + 1;
-      for (const std::string* name : shared_outs) {
-        const auto pa = sim_a.output_port(*name);
-        const auto pb = sim_b.output_port(*name);
-        for (std::size_t i = 0; i < pa->nets.size(); ++i) {
-          const std::uint64_t wa = sim_a.output_word(pa, i);
-          const std::uint64_t wb = sim_b.output_word(pb, i);
-          if (wa == wb) continue;
-          const unsigned lane = static_cast<unsigned>(std::countr_zero(wa ^ wb));
-          CecCounterexample cex;
-          // Inputs: the union of both views' ports, values as driven.
-          std::unordered_map<std::string, bool> seen;
-          const auto collect = [&](const nl::Netlist& view) {
-            for (const nl::PortBits& p : view.inputs()) {
-              if (!seen.emplace(p.name, true).second) continue;
-              CecInputAssignment in;
-              in.name = p.name;
-              in.width = static_cast<int>(p.nets.size());
-              const std::uint64_t h = core::hash_str(p.name);
-              for (std::size_t bit = 0; bit < p.nets.size() && bit < 64; ++bit) {
-                const std::uint64_t w =
-                    tied(p.name) ? 0
-                                 : core::pattern_word(opt.seed, h,
-                                                      static_cast<unsigned>(r),
-                                                      static_cast<unsigned>(bit));
-                in.value |= std::uint64_t{core::word_lane(w, lane)} << bit;
-              }
-              cex.inputs.push_back(std::move(in));
-            }
-          };
-          collect(view_a);
-          collect(view_b);
-          cex.divergent_output = *name;
-          cex.divergent_bit = static_cast<int>(i);
-          for (std::size_t bit = 0; bit < pa->nets.size() && bit < 64; ++bit) {
-            cex.value_a |=
-                std::uint64_t{core::word_lane(sim_a.output_word(pa, bit), lane)} << bit;
-            cex.value_b |=
-                std::uint64_t{core::word_lane(sim_b.output_word(pb, bit), lane)} << bit;
-          }
-          res.cex = std::move(cex);
-          eng.stats.presim_ops = sim_a.ops_executed() + sim_b.ops_executed();
-          return finish(CecStatus::kNotEquivalent);
-        }
-      }
-    }
-    eng.stats.presim_ops = sim_a.ops_executed() + sim_b.ops_executed();
-  }
 
   // --- random simulation: cheap refutation + sweep signatures ---
   core::SplitMix64 rng{opt.seed};
@@ -512,7 +408,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
         return finish(CecStatus::kNotEquivalent);
       }
     }
-    if (kFraigSweep) sigs.push_back(node_words);
+    sigs.push_back(node_words);
   }
 
   // Mark structurally proven bits; collect the support of the rest.
@@ -546,53 +442,46 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
   if (!any_open) return finish(CecStatus::kEquivalent);
 
   // --- fraig-lite sweep over the open bits' support ---
-  if (kFraigSweep && !sigs.empty()) {
-    std::map<std::vector<std::uint64_t>, std::vector<std::pair<std::uint32_t, bool>>>
-        classes;
-    std::vector<std::uint64_t> key(sigs.size());
-    for (std::uint32_t n = 0; n < eng.aig.node_count(); ++n) {
-      if (!relevant[n]) continue;
-      bool phase = false;
-      for (std::size_t r = 0; r < sigs.size(); ++r) key[r] = sigs[r][n];
-      if (key[0] & 1u) {  // canonicalise so pattern 0 is 0
-        phase = true;
-        for (auto& w : key) w = ~w;
-      }
-      classes[key].push_back({n, phase});
+  std::map<std::vector<std::uint64_t>, std::vector<std::pair<std::uint32_t, bool>>>
+      classes;
+  std::vector<std::uint64_t> key(sigs.size());
+  for (std::uint32_t n = 0; n < eng.aig.node_count(); ++n) {
+    if (!relevant[n]) continue;
+    bool phase = false;
+    for (std::size_t r = 0; r < sigs.size(); ++r) key[r] = sigs[r][n];
+    if (key[0] & 1u) {  // canonicalise so pattern 0 is 0
+      phase = true;
+      for (auto& w : key) w = ~w;
     }
-    std::size_t checks = 0;
-    for (const auto& [sig_key, members] : classes) {
-      if (members.size() < 2) continue;
-      ++eng.stats.sweep_classes;
-      const auto [n0, p0] = members[0];
-      const AigLit la = (n0 << 1) | (p0 ? 1u : 0u);
-      for (std::size_t i = 1; i < members.size(); ++i) {
-        if (checks >= kSweepMaxChecks) break;
-        const auto [ni, pi] = members[i];
-        const AigLit lb = (ni << 1) | (pi ? 1u : 0u);
-        if (eng.canon(la) == eng.canon(lb)) continue;
-        ++checks;
-        if (eng.prove_equal(la, lb, kSweepConflictLimit) == sat::Result::kUnsat)
-          ++eng.stats.sweep_merges;
-      }
+    classes[key].push_back({n, phase});
+  }
+  std::size_t checks = 0;
+  for (const auto& [sig_key, members] : classes) {
+    if (members.size() < 2) continue;
+    ++eng.stats.sweep_classes;
+    const auto [n0, p0] = members[0];
+    const AigLit la = (n0 << 1) | (p0 ? 1u : 0u);
+    for (std::size_t i = 1; i < members.size(); ++i) {
+      if (checks >= kSweepMaxChecks) break;
+      const auto [ni, pi] = members[i];
+      const AigLit lb = (ni << 1) | (pi ? 1u : 0u);
+      if (eng.canon(la) == eng.canon(lb)) continue;
+      ++checks;
+      if (eng.prove_equal(la, lb, kSweepConflictLimit) == sat::Result::kUnsat)
+        ++eng.stats.sweep_merges;
     }
   }
 
   // --- final per-bit discharge ---
-  bool any_unknown = false;
+  // kFinalConflictLimit is unbounded, so each call ends kUnsat or kSat.
   for (CompareBit& c : cmp) {
     if (c.proved) continue;
     if (eng.canon(c.a) == eng.canon(c.b)) {
       ++eng.stats.bits_structural;
       continue;
     }
-    const sat::Result r = eng.prove_equal(c.a, c.b, kFinalConflictLimit);
-    if (r == sat::Result::kUnsat) {
+    if (eng.prove_equal(c.a, c.b, kFinalConflictLimit) == sat::Result::kUnsat) {
       ++eng.stats.bits_sat_proved;
-      continue;
-    }
-    if (r == sat::Result::kUnknown) {
-      any_unknown = true;
       continue;
     }
     // SAT: evaluate the whole AIG under the model for a complete vector.
@@ -607,7 +496,7 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
                           *points[*c.name].first, *points[*c.name].second);
     return finish(CecStatus::kNotEquivalent);
   }
-  return finish(any_unknown ? CecStatus::kUnknown : CecStatus::kEquivalent);
+  return finish(CecStatus::kEquivalent);
 }
 
 }  // namespace
@@ -651,9 +540,7 @@ void assert_equivalent(const nl::Netlist& a, const nl::Netlist& b,
   CecResult res = check_equivalence(a, b, reg, options);
   if (res.equivalent()) return;
   std::string msg = "equivalence check failed: '" + a.name() + "' vs '" + b.name() + "'";
-  if (res.status == CecStatus::kUnknown) {
-    msg += " (inconclusive: conflict budget exhausted)";
-  } else if (res.cex) {
+  if (res.cex) {
     msg += ": first divergent net '" + res.cex->divergent_output + "' bit " +
            std::to_string(res.cex->divergent_bit) + " (a=" +
            std::to_string(res.cex->value_a) + ", b=" +

@@ -30,6 +30,8 @@ class Registry;
 
 namespace scflow::formal {
 
+/// A finished check is kEquivalent or kNotEquivalent (the final SAT calls
+/// run unbudgeted); kUnknown is only CecResult's not-yet-run default.
 enum class CecStatus { kEquivalent, kNotEquivalent, kUnknown };
 
 struct CecInputAssignment {
@@ -50,12 +52,6 @@ struct CecCounterexample {
 
 struct CecStats {
   std::size_t aig_nodes = 0;
-  /// Compiled-simulation pre-pass (netlist vs netlist): rounds of 64
-  /// patterns run through the bit-parallel CompiledSim on both
-  /// comb_views, and the bytecode ops those rounds executed (both sides
-  /// summed).  Zero for an RTL side A, which skips the pre-pass.
-  std::size_t presim_rounds = 0;
-  std::uint64_t presim_ops = 0;
   std::size_t compare_points = 0;  // ports/cones compared
   std::size_t compare_bits = 0;
   std::size_t bits_structural = 0;  // proven by hashing or sweep merges
@@ -78,7 +74,7 @@ struct CecOptions {
   std::vector<std::string> tie_zero_inputs;
   /// Output ports excluded from the comparison (e.g. "scan_out").
   std::vector<std::string> ignore_outputs;
-  /// Seeds the random-simulation and compiled pre-pass patterns.
+  /// Seeds the AIG random-simulation patterns.
   std::uint64_t seed = 0x5eedf00dcafe1234ull;
   std::string metric_prefix = "cec";
   /// Preset for comparing a scan-inserted netlist against its pre-scan

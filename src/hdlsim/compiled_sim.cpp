@@ -113,19 +113,6 @@ void CompiledSim::set_input(PortRef port, std::uint64_t value) {
   }
 }
 
-void CompiledSim::set_input_logic(const std::string& name, const scflow::LogicVector& bits) {
-  PortRef port = input_port(name);
-  const auto& slots = prog_.input_slots[in_index(port)];
-  if (bits.width() > slots.size())
-    throw std::invalid_argument("vector wider than input '" + name + "'");
-  for (std::size_t i = 0; i < bits.width(); ++i) {
-    const scflow::Logic b = bits.at(i);
-    if (!scflow::logic_is_01(b))
-      throw std::invalid_argument(prog_.name + ": X/Z stimulus on the two-state backend");
-    vals_[slots[i]] = core::word_broadcast(b == scflow::Logic::L1);
-  }
-}
-
 void CompiledSim::set_input_word(PortRef port, std::size_t bit, std::uint64_t patterns) {
   vals_[prog_.input_slots[in_index(port)].at(bit)] = patterns;
 }

@@ -8,11 +8,10 @@
 //
 // Two-state only: one word per slot, X-free semantics, bit-exact with
 // GateSim wherever the stimulus and reset state are fully defined (the
-// SRC schedules, the CEC pre-pass, the PPSFP lanes behind their
-// two-state screen).  X-accurate simulation is GateSim's job:
-// make_gate_dut and run_src_netlist fall back to it for x_initial_flops,
-// the checking RAM model (Options::check_ram) and the reference
-// evaluator.
+// SRC schedules and the PPSFP lanes behind their two-state screen).
+// X-accurate simulation is GateSim's job: make_gate_dut and
+// run_src_netlist fall back to it for x_initial_flops, the checking RAM
+// model (Options::check_ram) and the reference evaluator.
 //
 // Macro (RAM/ROM) read ports run as word-parallel ops inside the
 // compiled program: a bit-matrix transpose (core/wordpack.hpp, log2 of
@@ -50,7 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "dtypes/logic.hpp"
 #include "hdlsim/compile.hpp"
 #include "hdlsim/gate_sim.hpp"
 #include "hdlsim/sim_counters.hpp"
@@ -95,8 +93,6 @@ class CompiledSim {
   /// Drives all 64 lanes with the same scalar value.
   void set_input(const std::string& name, std::uint64_t value);
   void set_input(PortRef port, std::uint64_t value);
-  /// Four-valued broadcast; X/Z bits throw std::invalid_argument.
-  void set_input_logic(const std::string& name, const scflow::LogicVector& bits);
 
   // --- pattern-word drivers (64 independent stimuli) ---
   /// Drives bit @p bit of @p port with one pattern per lane.

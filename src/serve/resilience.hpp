@@ -17,9 +17,16 @@
 // restore_service() verifies magic, version, size, and checksum before
 // touching the payload, and the payload decode runs on a sticky-failure
 // bounds-checked reader — a truncated or bit-flipped image produces a
-// diagnostic, never a crash and never a half-restored service.
+// diagnostic, never a crash and never a half-restored service.  The
+// decode checks every count against the bytes left before allocating
+// for it, caps ring capacities at kMaxSnapshotRing, requires the
+// free-slot stack to name distinct free slots, and rejects a session
+// whose counters break the conservation laws (SessionStats) or whose
+// converter cursors disagree with its timeline.  Pinned by
+// tests/test_serve_fuzz.cpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -72,6 +79,10 @@ struct ResilienceStats {
 
 inline constexpr std::string_view kSnapshotMagic = "SCSNAP01";
 inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Largest input_ring / output_ring a snapshot may carry.  Far above any
+/// ring the tools configure (<= 1024 samples), and small enough that a
+/// corrupt image cannot make a restore allocate huge per-session rings.
+inline constexpr std::size_t kMaxSnapshotRing = std::size_t{1} << 16;
 
 /// Serializes the full service state (see header comment).  Non-const:
 /// bumps the service's snapshot_saves / snapshot_bytes_last census.

@@ -616,10 +616,12 @@ struct RingImage {
   std::vector<dsp::StereoSample> contents;
 };
 
-bool read_ring_image(core::StateReader& r, RingImage* img, std::uint64_t cap_bound) {
+constexpr std::size_t kRingSampleBytes = 4;  // two i16 channels
+
+bool read_ring_image(core::StateReader& r, RingImage* img) {
   img->tail = r.u64();
   const std::uint64_t n = r.u64();
-  if (!r.ok() || n > cap_bound) return false;
+  if (!r.ok() || n > r.remaining() / kRingSampleBytes) return false;
   img->contents.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     dsp::StereoSample s;
@@ -741,7 +743,8 @@ bool SrcService::load_state(core::StateReader& r, std::string* error) {
   if (opt.max_sessions == 0 || opt.max_sessions > (1u << 24)) {
     return fail("implausible max_sessions in snapshot");
   }
-  if (opt.input_ring == 0 || opt.output_ring == 0 || opt.work_quantum == 0) {
+  if (opt.input_ring == 0 || opt.output_ring == 0 || opt.work_quantum == 0 ||
+      opt.input_ring > kMaxSnapshotRing || opt.output_ring > kMaxSnapshotRing) {
     return fail("implausible ring/quantum options in snapshot");
   }
 
@@ -773,8 +776,14 @@ bool SrcService::load_state(core::StateReader& r, std::string* error) {
   res.snapshot_restores = r.u64();
   res.snapshot_bytes_last = r.u64();
 
+  // Every count below is checked against the bytes left before anything
+  // is allocated for it: a record is never smaller than its minimum
+  // encoding, so a corrupt count cannot ask for more than the image holds.
+  constexpr std::size_t kAggBytes = 7 * 8;
+  constexpr std::size_t kFreeIndexBytes = 4;
+  constexpr std::size_t kMinSlotBytes = 4 + 1;  // generation + state
   const std::uint64_t n_aggs = r.u64();
-  if (!r.ok() || n_aggs > (1u << 20)) return fail("corrupt ratio aggregates");
+  if (!r.ok() || n_aggs > r.remaining() / kAggBytes) return fail("corrupt ratio aggregates");
   std::map<std::uint64_t, RatioAgg> aggs;
   for (std::uint64_t i = 0; i < n_aggs; ++i) {
     const std::uint64_t key = r.u64();
@@ -789,17 +798,16 @@ bool SrcService::load_state(core::StateReader& r, std::string* error) {
   }
 
   const std::uint64_t n_free = r.u64();
-  if (!r.ok() || n_free > opt.max_sessions) return fail("corrupt free-slot stack");
+  if (!r.ok() || n_free > opt.max_sessions || n_free > r.remaining() / kFreeIndexBytes) {
+    return fail("corrupt free-slot stack");
+  }
   std::vector<std::uint32_t> free_slots;
   free_slots.reserve(static_cast<std::size_t>(n_free));
-  for (std::uint64_t i = 0; i < n_free; ++i) {
-    const std::uint32_t idx = r.u32();
-    if (idx >= opt.max_sessions) return fail("free-slot index out of range");
-    free_slots.push_back(idx);
-  }
+  for (std::uint64_t i = 0; i < n_free; ++i) free_slots.push_back(r.u32());
 
   const std::uint64_t n_slots = r.u64();
   if (!r.ok() || n_slots > opt.max_sessions) return fail("slot count exceeds max_sessions");
+  if (n_slots > r.remaining() / kMinSlotBytes) return fail("truncated snapshot payload (slots)");
 
   std::vector<Slot> slots(static_cast<std::size_t>(n_slots));
   std::size_t open_count = 0;
@@ -843,15 +851,23 @@ bool SrcService::load_state(core::StateReader& r, std::string* error) {
     if (!r.ok()) return fail("truncated snapshot payload (session stats)");
 
     // Ring images come before the session can exist (the saved counters
-    // seed the reconstructed rings), so buffer them first.  The bound is
-    // generous; exact capacity is enforced by the replaying push below.
+    // seed the reconstructed rings), so buffer them first.  Exact
+    // capacity is enforced by the replaying push below.
     RingImage in_img;
     RingImage out_img;
-    if (!read_ring_image(r, &in_img, 1u << 24)) {
+    if (!read_ring_image(r, &in_img)) {
       return fail("corrupt input-ring contents in snapshot");
     }
-    if (!read_ring_image(r, &out_img, 1u << 24)) {
+    if (!read_ring_image(r, &out_img)) {
       return fail("corrupt output-ring contents in snapshot");
+    }
+    // The conservation laws (SessionStats): every accepted input is
+    // converted or still queued, every produced output pulled or queued,
+    // and each ring's consumer counter is the matching stat.
+    if (stats.accepted - stats.converted_in != in_img.contents.size() ||
+        stats.produced - stats.pulled != out_img.contents.size() ||
+        in_img.tail != stats.converted_in || out_img.tail != stats.pulled) {
+      return fail("session counters break conservation in snapshot");
     }
 
     auto session = std::make_unique<SessionState>(cfg, opt, in_img.tail, out_img.tail);
@@ -877,6 +893,15 @@ bool SrcService::load_state(core::StateReader& r, std::string* error) {
   }
   if (!r.ok()) return fail("truncated snapshot payload");
   if (!r.exhausted()) return fail("trailing bytes after snapshot payload");
+  // try_open pops these indices and overwrites the slot: each must name
+  // a distinct free slot of the restored table.
+  std::vector<bool> listed(slots.size(), false);
+  for (const std::uint32_t idx : free_slots) {
+    if (idx >= slots.size() || slots[idx].state != SlotState::kFree || listed[idx]) {
+      return fail("free-slot stack names a slot that is not free in snapshot");
+    }
+    listed[idx] = true;
+  }
 
   options_ = opt;
   res_ = res;

@@ -3,7 +3,7 @@
 // fallback, bit-exactness against the event-driven interpreter on the
 // synthesised SRC netlists, independent-lane semantics on random
 // netlists (RAM/ROM macros included), the batch runner's thread-count
-// invariance on the compiled backend, and the CEC compiled pre-pass.
+// invariance on the compiled backend.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,7 +12,6 @@
 #include "core/wordpack.hpp"
 #include "dsp/stimulus.hpp"
 #include "flow/synthesis_flow.hpp"
-#include "formal/cec.hpp"
 #include "hdlsim/batch_runner.hpp"
 #include "hdlsim/compile.hpp"
 #include "hdlsim/compiled_sim.hpp"
@@ -22,7 +21,6 @@
 #include "hls/src_beh.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist_fuzz.hpp"
-#include "obs/registry.hpp"
 #include "rtl/src_design.hpp"
 
 namespace scflow::hdlsim {
@@ -513,70 +511,12 @@ TEST(CompiledSimTest, ErrorPaths) {
   nl::Netlist other = n;
 
   CompiledSim two(n);
-  LogicVector xv(1);
-  xv.set(0, Logic::X);
-  EXPECT_THROW(two.set_input_logic("a", xv), std::invalid_argument);
   EXPECT_THROW((void)two.input_port("nope"), std::invalid_argument);
   EXPECT_THROW((void)two.output_port("a"), std::invalid_argument);
 
   // Port handles from another netlist are rejected, not misread.
   CompiledSim foreign(other);
   EXPECT_THROW((void)two.set_input(foreign.input_port("a"), 1), std::invalid_argument);
-}
-
-// --- CEC pre-pass ----------------------------------------------------------
-
-TEST(CecCompiledPresim, RefutesAndRecordsOnGateOptPair) {
-  std::mt19937_64 rng(0x5eed01);
-  const nl::Netlist n = random_gate_netlist(rng);
-  // Identical flop shapes on both sides: random netlists carry unnamed
-  // flops, which CEC pairs positionally only when the counts match.
-  const nl::Netlist copy = n;
-
-  // Equivalent pair: the pre-pass runs all rounds, finds nothing, and the
-  // usual engine proves equivalence.
-  formal::CecOptions opt;
-  obs::Registry reg;
-  opt.metric_prefix = "cec.test";
-  const formal::CecResult eq = formal::check_equivalence(n, copy, &reg, opt);
-  EXPECT_TRUE(eq.equivalent());
-  EXPECT_EQ(eq.stats.presim_rounds, 4u);  // every round of the fixed pre-pass
-  EXPECT_GT(eq.stats.presim_ops, 0u);
-  EXPECT_EQ(reg.counter("cec.test.presim_rounds"), eq.stats.presim_rounds);
-  EXPECT_EQ(reg.counter("cec.test.presim_ops"), eq.stats.presim_ops);
-
-  // Broken pair: flip one cell; the pre-pass should refute within its
-  // rounds (64 patterns each) and the counterexample must replay.
-  nl::Netlist broken = n;
-  bool flipped = false;
-  for (nl::Cell& c : broken.cells_mut()) {
-    if (c.type == nl::CellType::kAnd2) {
-      c.type = nl::CellType::kOr2;
-      flipped = true;
-      break;
-    }
-    if (c.type == nl::CellType::kInv) {
-      c.type = nl::CellType::kBuf;
-      flipped = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(flipped);
-  const formal::CecResult ne = formal::check_equivalence(n, broken, nullptr, opt);
-  if (ne.status == formal::CecStatus::kNotEquivalent && ne.stats.presim_rounds > 0 &&
-      ne.stats.sat_calls == 0) {
-    // Refuted by simulation (pre-pass or AIG): the cex must be concrete
-    // and replay-confirmed through GateSim.
-    ASSERT_TRUE(ne.cex.has_value());
-    EXPECT_TRUE(ne.cex->replayed);
-    EXPECT_TRUE(ne.cex->replay_confirmed);
-  }
-  // Whichever layer caught it, the verdict must not be "equivalent"
-  // unless the flip happened to be behaviour-preserving on dead logic.
-  if (ne.status == formal::CecStatus::kEquivalent) {
-    const formal::CecResult confirm = formal::check_equivalence(n, broken);
-    EXPECT_TRUE(confirm.equivalent());
-  }
 }
 
 }  // namespace

@@ -291,6 +291,35 @@ TEST(CecTest, InjectedSequentialBugCaughtInNextStateCone) {
   EXPECT_TRUE(res.cex->replay_confirmed);
 }
 
+TEST(CecTest, SingleMintermBugRefutedBySatModel) {
+  // The sides differ only at x == K, one minterm of a 32-bit input: the
+  // 256 random patterns miss it, so the SAT model must supply the vector.
+  constexpr std::int64_t kMinterm = 0x5eedbeef;
+  const auto build = [](bool bugged) {
+    rtl::DesignBuilder b("minterm");
+    auto x = b.input("x", 32);
+    auto y = b.input("y", 32);
+    auto o = b.lt_u(x, y);
+    if (bugged) o = b.xor_(o, b.eq(x, b.c(32, kMinterm)));
+    b.output("o", o);
+    return nl::lower_to_gates(b.finalise());
+  };
+  const CecResult res = check_equivalence(build(false), build(true));
+  ASSERT_EQ(res.status, CecStatus::kNotEquivalent);
+  EXPECT_GT(res.stats.sat_calls, 0u);
+  ASSERT_TRUE(res.cex.has_value());
+  EXPECT_EQ(res.cex->divergent_output, "o");
+  bool saw_x = false;
+  for (const CecInputAssignment& in : res.cex->inputs) {
+    if (in.name != "x") continue;
+    saw_x = true;
+    EXPECT_EQ(in.value, static_cast<std::uint64_t>(kMinterm));
+  }
+  EXPECT_TRUE(saw_x);
+  EXPECT_TRUE(res.cex->replayed);
+  EXPECT_TRUE(res.cex->replay_confirmed);
+}
+
 TEST(CecTest, AssertEquivalentThrowsWithDivergentNetAndVcd) {
   rtl::DesignBuilder b("thr");
   auto x = b.input("x", 4);

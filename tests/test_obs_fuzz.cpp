@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fault/campaign.hpp"
+#include "mutants.hpp"
 #include "netlist/lower.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/opt.hpp"
@@ -23,6 +24,9 @@
 
 namespace scflow::obs {
 namespace {
+
+using fuzz::flip_bits;
+using fuzz::splice;
 
 // Lines as parse_ledger numbers them: split at '\n', a final piece
 // without one included.
@@ -78,16 +82,6 @@ const Corpus& corpus() {
     return out;
   }();
   return c;
-}
-
-std::string flip_bits(std::string s, std::mt19937_64& rng) {
-  for (int i = 0, flips = 1 + static_cast<int>(rng() % 3); i < flips; ++i)
-    s[rng() % s.size()] ^= static_cast<char>(1u << (rng() % 8));
-  return s;
-}
-
-std::string splice(const std::string& a, const std::string& b, std::mt19937_64& rng) {
-  return a.substr(0, rng() % (a.size() + 1)) + b.substr(rng() % (b.size() + 1));
 }
 
 // Both entry points give one verdict; a rejection names an offset inside
